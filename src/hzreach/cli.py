@@ -261,6 +261,7 @@ def _to_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    previous_tol = _sets.FEAS_TOL
     try:
         cfg = _to_config(args)
         if cfg.tol is not None:
@@ -275,6 +276,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError, HzReachError) as err:
         print(f"hzreach: error: {err}", file=sys.stderr)
         return 1
+    finally:
+        _sets.FEAS_TOL = previous_tol
 
 
 if __name__ == "__main__":

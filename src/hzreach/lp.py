@@ -5,6 +5,13 @@ hull queries on hybrid zonotopes.  Linear programs are equality-constrained
 with finite box bounds on every variable; binaries are variables restricted
 to the two values -1 and +1.  The LP relaxation is delegated to HiGHS via
 scipy, which returns vertex-optimal basic solutions deterministically.
+
+Within one query the constraint rows never change, only the costs (samples,
+support and projection directions) or the column bounds (branch-and-bound
+nodes, pinned binaries).  ``LpSession`` therefore passes the model to HiGHS
+once and re-solves it warm from the last basis.  ``lp_solve`` is the one-shot
+solver through ``scipy.optimize.linprog`` and the reference that sessions
+are tested against.
 """
 
 from __future__ import annotations
@@ -14,6 +21,13 @@ from enum import Enum
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as err:  # scipy < 1.15 has no Python binding of HiGHS
+    raise ImportError("hzreach needs scipy >= 1.15: LpSession drives HiGHS through "
+                      "scipy.optimize._highspy._core, which this scipy lacks") from err
 
 # Tolerances used by the branch-and-bound search (see module design notes):
 # a binary is considered integral when within INTEGRALITY_TOL of +/-1, and
@@ -99,19 +113,27 @@ class MilpProblem:
         object.__setattr__(self, "binary_index", idx)
 
 
-def _solve_bounds(p: LpProblem, lb: np.ndarray, ub: np.ndarray) -> SolveResult:
-    """Solve p's LP with overridden bounds (used by branch-and-bound nodes)."""
-    n = p.num_vars
-    if n == 0:
-        if p.b.size and np.max(np.abs(p.b)) > 1e-12:
-            return SolveResult(SolveStatus.INFEASIBLE)
-        return SolveResult(SolveStatus.OPTIMAL, np.zeros(0), 0.0)
+def _no_variables(p: LpProblem) -> SolveResult:
+    """The LP without variables: feasible iff every right-hand side is zero."""
+    if p.b.size and np.max(np.abs(p.b)) > 1e-12:
+        return SolveResult(SolveStatus.INFEASIBLE)
+    return SolveResult(SolveStatus.OPTIMAL, np.zeros(0), 0.0)
+
+
+def lp_solve(p: LpProblem) -> SolveResult:
+    """Solve a bounded-variable equality-constrained LP.
+
+    Returns a vertex-optimal solution when feasible.  Deterministic: the same
+    problem data always yields the same result.
+    """
+    if p.num_vars == 0:
+        return _no_variables(p)
     A_eq = p.A if p.b.size else None
     b_eq = p.b if p.b.size else None
-    res = linprog(p.c, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([lb, ub]),
+    res = linprog(p.c, A_eq=A_eq, b_eq=b_eq, bounds=np.column_stack([p.lb, p.ub]),
                   method="highs", options=_HIGHS_OPTIONS)
     if res.status == 0:
-        x = np.clip(res.x, lb, ub)
+        x = np.clip(res.x, p.lb, p.ub)
         return SolveResult(SolveStatus.OPTIMAL, x, float(p.c @ x))
     if res.status == 2:
         return SolveResult(SolveStatus.INFEASIBLE)
@@ -121,13 +143,72 @@ def _solve_bounds(p: LpProblem, lb: np.ndarray, ub: np.ndarray) -> SolveResult:
     raise RuntimeError(f"LP solver failure (HiGHS status {res.status}): {res.message}")
 
 
-def lp_solve(p: LpProblem) -> SolveResult:
-    """Solve a bounded-variable equality-constrained LP.
+class LpSession:
+    """One LP held in HiGHS and re-solved warm as its costs or bounds change.
 
-    Returns a vertex-optimal solution when feasible.  Deterministic: the same
-    problem data always yields the same result.
+    The rows ``A @ x = b`` are passed to HiGHS once, as a sparse column-wise
+    matrix.  Each ``solve`` changes only the costs and column bounds it is
+    given, and HiGHS restarts the simplex from the previous basis.  Options
+    and the clipping of solutions to the bounds are those of ``lp_solve``;
+    two sessions given the same sequence of solves return identical results.
+    A session is not thread-safe: use one per query.
     """
-    return _solve_bounds(p, p.lb, p.ub)
+
+    def __init__(self, p: LpProblem):
+        self._p = p
+        self._c, self._lb, self._ub = p.c, p.lb, p.ub
+        self._highs = None
+        n = p.num_vars
+        if n == 0:
+            return
+        self._cols = np.arange(n, dtype=np.int32)
+        A = csc_array(p.A)
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = p.b.size
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.c, p.lb, p.ub
+        lp.row_lower_ = lp.row_upper_ = p.b
+        h = _highs._Highs()
+        options = dict(_HIGHS_OPTIONS, presolve="on" if _HIGHS_OPTIONS["presolve"] else "off",
+                       output_flag=False, simplex_strategy=1)  # dual simplex, as linprog
+        for key, value in options.items():
+            if h.setOptionValue(key, value) != _highs.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option {key}={value!r}")
+        if h.passModel(lp) == _highs.HighsStatus.kError:
+            raise RuntimeError("HiGHS rejected the LP model")
+        self._highs = h
+
+    def solve(self, c=None, lb=None, ub=None) -> SolveResult:
+        """Minimize under the given costs and bounds; None keeps the last ones."""
+        h = self._highs
+        if c is not None:
+            c = np.array(c, dtype=float)  # copied: callers may reuse their arrays
+            if h is not None and not np.array_equal(c, self._c):
+                h.changeColsCost(c.size, self._cols, c)
+            self._c = c
+        if lb is not None or ub is not None:
+            lb = self._lb if lb is None else np.array(lb, dtype=float)
+            ub = self._ub if ub is None else np.array(ub, dtype=float)
+            if h is not None and not (np.array_equal(lb, self._lb)
+                                      and np.array_equal(ub, self._ub)):
+                h.changeColsBounds(lb.size, self._cols, lb, ub)
+            self._lb, self._ub = lb, ub
+        if h is None:
+            return _no_variables(self._p)
+        if h.run() == _highs.HighsStatus.kError:
+            raise RuntimeError("LP solver failure (HiGHS run error)")
+        status = h.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            x = np.clip(np.asarray(h.getSolution().col_value), self._lb, self._ub)
+            return SolveResult(SolveStatus.OPTIMAL, x, float(self._c @ x))
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return SolveResult(SolveStatus.INFEASIBLE)
+        raise RuntimeError(f"LP solver failure (HiGHS model status "
+                           f"{h.modelStatusToString(status)})")
 
 
 def _fractional_binary(x: np.ndarray, binaries: tuple[int, ...], lb: np.ndarray,
@@ -148,14 +229,14 @@ def _lowest_free_binary(binaries: tuple[int, ...], lb, ub) -> int | None:
     return None
 
 
-def _round_binaries(p: MilpProblem, x: np.ndarray, lb: np.ndarray,
-                    ub: np.ndarray) -> SolveResult:
+def _round_binaries(session: LpSession, binaries: tuple[int, ...], x: np.ndarray,
+                    lb: np.ndarray, ub: np.ndarray) -> SolveResult:
     """Re-solve with every binary pinned to its rounded value for a clean vertex."""
     lb2, ub2 = lb.copy(), ub.copy()
-    for i in p.binary_index:
+    for i in binaries:
         v = 1.0 if x[i] >= 0.0 else -1.0
         lb2[i] = ub2[i] = v
-    return _solve_bounds(p.lp, lb2, ub2)
+    return session.solve(lb=lb2, ub=ub2)
 
 
 def milp_solve(p: MilpProblem, stop_at_first: bool = False) -> SolveResult:
@@ -171,18 +252,19 @@ def milp_solve(p: MilpProblem, stop_at_first: bool = False) -> SolveResult:
         at -1 or +1 and satisfies the constraints to LP tolerance.
     """
     binaries = p.binary_index
+    session = LpSession(p.lp)
     best: SolveResult | None = None
     stack: list[tuple[np.ndarray, np.ndarray]] = [(p.lp.lb.copy(), p.lp.ub.copy())]
     while stack:
         lb, ub = stack.pop()
-        rel = _solve_bounds(p.lp, lb, ub)
+        rel = session.solve(lb=lb, ub=ub)
         if not rel.is_optimal:
             continue
         if best is not None and rel.objective >= best.objective - PRUNE_TOL:
             continue
         frac = _fractional_binary(rel.x, binaries, lb, ub)
         if frac is None:
-            cand = _round_binaries(p, rel.x, lb, ub)
+            cand = _round_binaries(session, binaries, rel.x, lb, ub)
             if cand.is_optimal:
                 if best is None or cand.objective < best.objective - PRUNE_TOL:
                     best = cand
@@ -212,10 +294,11 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000) -> list[np.nda
     binaries = p.binary_index
     leaves: list[np.ndarray] = []
     stack: list[tuple[np.ndarray, np.ndarray]] = [(p.lp.lb.copy(), p.lp.ub.copy())]
-    feas = LpProblem(np.zeros(p.lp.num_vars), p.lp.A, p.lp.b, p.lp.lb, p.lp.ub)
+    session = LpSession(LpProblem(np.zeros(p.lp.num_vars), p.lp.A, p.lp.b,
+                                  p.lp.lb, p.lp.ub))
     while stack:
         lb, ub = stack.pop()
-        if not _solve_bounds(feas, lb, ub).is_optimal:
+        if not session.solve(lb=lb, ub=ub).is_optimal:
             continue
         i = _lowest_free_binary(binaries, lb, ub)
         if i is None:

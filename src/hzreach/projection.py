@@ -12,26 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError
-from .lp import LpProblem, lp_solve
-from .sets import HybridZonotope
-from .util import parallel_map
+from .sets import FiberLp, HybridZonotope
 
 
-def _fiber_support(Z: HybridZonotope, xb: np.ndarray, d: np.ndarray):
+def _fiber_support(fibers: FiberLp, xb: np.ndarray, d: np.ndarray):
     """Support value and a maximizer of d @ x over the fiber with binaries xb."""
-    obj = -(d @ Z.Gc)
-    base = Z.Gb @ xb + Z.c
-    if Z.n_g == 0:
-        return float(d @ base), base
-    if Z.n_c == 0:
-        xc = np.where(obj > 0, -1.0, 1.0)
-    else:
-        rhs = Z.b - Z.Ab @ xb
-        res = lp_solve(LpProblem(obj, Z.Ac, rhs, -np.ones(Z.n_g), np.ones(Z.n_g)))
-        if not res.is_optimal:
-            raise EmptySetError("binary assignment lost feasibility")
-        xc = res.x
-    point = Z.Gc @ xc + base
+    point = fibers.point(xb, -(d @ fibers.hz.Gc))
     return float(d @ point), point
 
 
@@ -53,9 +39,9 @@ def _clip(poly: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, 2))
 
 
-def support_polygon(Z: HybridZonotope, xb: np.ndarray, k_dirs: int,
+def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
                     start_box: np.ndarray) -> np.ndarray:
-    """Outer polygon of one binary fiber from k_dirs support halfplanes.
+    """Outer polygon of one binary fiber of a 2-D set from k_dirs support halfplanes.
 
     The halfplanes of the equally spaced directions are refined with the
     normals of the chords between adjacent support maximizers, so facets
@@ -68,7 +54,7 @@ def support_polygon(Z: HybridZonotope, xb: np.ndarray, k_dirs: int,
     supports = []
     maximizers = []
     for d in dirs:
-        h, p = _fiber_support(Z, xb, d)
+        h, p = _fiber_support(fibers, xb, d)
         supports.append(h)
         maximizers.append(p)
     extra = []
@@ -85,7 +71,7 @@ def support_polygon(Z: HybridZonotope, xb: np.ndarray, k_dirs: int,
     for d, h in zip(dirs, supports):
         poly = _clip(poly, d, h)
     for n in extra:
-        poly = _clip(poly, n, _fiber_support(Z, xb, n)[0])
+        poly = _clip(poly, n, _fiber_support(fibers, xb, n)[0])
     return _tidy(poly)
 
 
@@ -124,14 +110,15 @@ def emit_projection(Z: HybridZonotope, dims: tuple[int, int],
     if i == j:
         raise ValueError("projection needs two distinct coordinates")
     P = Z.project([i, j])
-    assignments = P.feasible_binary_assignments()
+    assignments = Z.feasible_binary_assignments()  # P has Z's constraints
     if not assignments:
         raise EmptySetError("cannot project an empty set")
     hull = P.interval_hull("generator_relaxed")
     pad = float(np.max(hull.radius)) + 1.0
     lo, hi = hull.lower - pad, hull.upper + pad
     box = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    return parallel_map(lambda xb: support_polygon(P, xb, k_dirs, box), assignments)
+    fibers = FiberLp(P)
+    return [support_polygon(fibers, xb, k_dirs, box) for xb in assignments]
 
 
 def write_points_csv(path, points: np.ndarray, dims: tuple[int, int]) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptySetError, PrefixMismatchError
 from .intervals import IntervalVector
-from .lp import LpProblem, MilpProblem, SolveStatus, enumerate_binary_leaves, lp_solve, milp_solve
+from .lp import LpProblem, LpSession, MilpProblem, enumerate_binary_leaves, milp_solve
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
 # all feasibility decisions (emptiness, membership).
@@ -79,7 +79,7 @@ class HybridZonotope:
             None for all three means an unconstrained set.
     """
 
-    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_empty")
+    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_empty", "_leaves")
 
     def __init__(self, Gc=None, Gb=None, c=None, Ac=None, Ab=None, b=None):
         c = np.array(c, dtype=float).reshape(-1)
@@ -102,6 +102,7 @@ class HybridZonotope:
         object.__setattr__(self, "Ab", Ab)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_empty", None)
+        object.__setattr__(self, "_leaves", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridZonotope is immutable")
@@ -378,9 +379,20 @@ class HybridZonotope:
         return IntervalVector(np.minimum(lower, upper), np.maximum(lower, upper))
 
     def feasible_binary_assignments(self, limit: int = 100_000) -> list[np.ndarray]:
-        """All {-1,+1} assignments of the binary factors admitting feasible xc."""
-        p = self._milp(np.zeros(self.n_g + self.n_b), slack=FEAS_TOL)
-        return enumerate_binary_leaves(p, limit=limit)
+        """All {-1,+1} assignments of the binary factors admitting feasible xc.
+
+        The enumeration runs once per set; later calls return the cached,
+        read-only assignments.
+        """
+        if self._leaves is None:
+            p = self._milp(np.zeros(self.n_g + self.n_b), slack=FEAS_TOL)
+            leaves = enumerate_binary_leaves(p, limit=limit)
+            for xb in leaves:
+                xb.setflags(write=False)
+            object.__setattr__(self, "_leaves", tuple(leaves))
+        if len(self._leaves) > limit:
+            raise RuntimeError(f"more than {limit} feasible binary assignments")
+        return list(self._leaves)
 
     def sample_points(self, k: int, seed: int) -> np.ndarray:
         """k member points, deterministic for a fixed seed, shape (k, dim).
@@ -396,25 +408,11 @@ class HybridZonotope:
         if not assignments:
             raise EmptySetError("cannot sample an empty set")
         rng = np.random.default_rng(seed)
+        fibers = FiberLp(self)
         out = np.empty((k, self.dim))
-        A = np.hstack([self.Ac, self.Ab]) if self.n_c else None
         for j in range(k):
             xb = assignments[int(rng.integers(len(assignments)))]
-            obj = rng.standard_normal(self.n_g)
-            if self.n_g == 0:
-                out[j] = self.Gb @ xb + self.c
-                continue
-            if A is None:
-                xc = np.where(obj > 0, -1.0, 1.0)
-            else:
-                lb = np.concatenate([-np.ones(self.n_g), xb])
-                ub = np.concatenate([np.ones(self.n_g), xb])
-                res = lp_solve(LpProblem(np.concatenate([obj, np.zeros(self.n_b)]),
-                                         A, self.b, lb, ub))
-                if res.status is not SolveStatus.OPTIMAL:
-                    raise EmptySetError("enumerated assignment lost feasibility")
-                xc = res.x[:self.n_g]
-            out[j] = self.Gc @ xc + self.Gb @ xb + self.c
+            out[j] = fibers.point(xb, rng.standard_normal(self.n_g))
         return out
 
     # -- serialization -------------------------------------------------
@@ -461,3 +459,58 @@ class HybridZonotope:
     def load(cls, path) -> "HybridZonotope":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+class FiberLp:
+    """Cost minimization over the continuous factors of one binary fiber.
+
+    The fiber of a binary assignment xb is the constrained zonotope left when
+    the binaries are fixed to xb.  One LpSession over the set's factor space
+    [xc, xb, residuals] serves every fiber and cost of a query: a fiber's
+    binaries are pinned through column bounds.  Rows hold exactly where they
+    can; a fiber that is feasible only within the FEAS_TOL residual that
+    emptiness and leaf enumeration allow gets that residual, by a bounds
+    change in the same session.
+    """
+
+    def __init__(self, hz: HybridZonotope):
+        self.hz = hz
+        self._session = None
+        self._loose: set[bytes] = set()  # fibers that need the residual
+        if hz.n_g and hz.n_c:
+            p = hz._milp(np.zeros(hz.n_g + hz.n_b), slack=FEAS_TOL).lp
+            self._session = LpSession(p)
+            self._lb, self._ub = p.lb, p.ub  # residual columns last, at +/-FEAS_TOL
+
+    def point(self, xb: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """The member point of fiber ``xb`` whose factors xc minimize cost @ xc.
+
+        Raises:
+            EmptySetError: if the fiber is empty even within FEAS_TOL.
+        """
+        hz = self.hz
+        if hz.n_g == 0:
+            return hz.Gb @ xb + hz.c
+        if self._session is None:
+            xc = np.where(cost > 0, -1.0, 1.0)
+        else:
+            xc = self._argmin(xb, cost)
+        return hz.Gc @ xc + hz.Gb @ xb + hz.c
+
+    def _argmin(self, xb: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        n_g, residuals = self.hz.n_g, self.hz.n_g + self.hz.n_b
+        c = np.concatenate([cost, np.zeros(self._lb.size - n_g)])
+        lb, ub = self._lb.copy(), self._ub.copy()
+        lb[n_g:residuals] = ub[n_g:residuals] = xb
+        key = xb.tobytes()
+        if key not in self._loose:
+            exact_lb, exact_ub = lb.copy(), ub.copy()
+            exact_lb[residuals:] = exact_ub[residuals:] = 0.0
+            res = self._session.solve(c, exact_lb, exact_ub)
+            if res.is_optimal:
+                return res.x[:n_g]
+            self._loose.add(key)
+        res = self._session.solve(c, lb, ub)
+        if not res.is_optimal:
+            raise EmptySetError("enumerated assignment lost feasibility")
+        return res.x[:n_g]

@@ -21,7 +21,6 @@ from .errors import EmptySeedError
 from .model import simulate
 from .reach import ReachSeries, brs, frs
 from .sets import HybridZonotope
-from .util import parallel_map
 
 WITNESS_TOL = 1e-6
 WITNESS_SAMPLES = 16
@@ -74,8 +73,7 @@ def _confirm(series: ReachSeries, candidates: np.ndarray, unsafe: HybridZonotope
 def _verdict(series, unsafe, horizon, candidate_set_for, seed):
     start = time.perf_counter()
     steps = list(range(2, horizon + 1))
-    flags = parallel_map(
-        lambda t: candidate_set_for(t).is_empty(), steps)
+    flags = [candidate_set_for(t).is_empty() for t in steps]
     evidence = list(zip(steps, flags))
     witnesses = []
     for t, empty in evidence:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hzreach import EmptySetError, HybridZonotope, NeuronInterval, save_model
+from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, lp_solve,
+                     save_model)
 from hzreach.cli import main
 from hzreach.projection import emit_projection
 from hzreach.relu import graph_triangle
@@ -68,7 +69,7 @@ def test_projection_rejects_equal_dims():
 
 def test_polygon_supports_match_lp_supports():
     # in every queried direction the emitted polygon's support equals the
-    # fiber's true support value
+    # fiber's true support value, solved here by the one-shot reference LP
     rng = np.random.default_rng(5)
     from conftest import random_hz
     Z = random_hz(rng, dim=2, n_g=4, n_b=1, n_c=1)
@@ -76,12 +77,13 @@ def test_polygon_supports_match_lp_supports():
     polys = emit_projection(Z, (0, 1), k)
     assignments = Z.feasible_binary_assignments()
     assert len(polys) == len(assignments)
-    from hzreach.projection import _fiber_support
     for poly, xb in zip(polys, assignments):
         for j in range(k):
             theta = 2 * np.pi * j / k
             d = np.array([np.cos(theta), np.sin(theta)])
-            h, _ = _fiber_support(Z, xb, d)
+            res = lp_solve(LpProblem(-(d @ Z.Gc), Z.Ac, Z.b - Z.Ab @ xb,
+                                     -np.ones(Z.n_g), np.ones(Z.n_g)))
+            h = -res.objective + d @ (Z.Gb @ xb + Z.c)
             assert np.max(poly @ d) == pytest.approx(h, abs=1e-6)
 
 
@@ -256,6 +258,23 @@ def test_missing_file_exits_nonzero(tmp_path):
                  "--initial", str(tmp_path / "nope.json"),
                  "-T", "3", "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_tol_override_does_not_leak_into_later_runs(half_files, tmp_path, monkeypatch):
+    import hzreach.cli as cli
+    import hzreach.sets as sets_mod
+    seen = []
+    real = cli.cmd_forward
+    monkeypatch.setattr(cli, "cmd_forward",
+                        lambda cfg: seen.append(sets_mod.FEAS_TOL) or real(cfg))
+    base = ["forward", "--model", str(half_files / "model.json"),
+            "--domain", str(half_files / "domain.json"),
+            "--initial", str(half_files / "initial.json"),
+            "-T", "2", "--out", str(tmp_path / "o")]
+    assert main(base + ["--tol", "1e-3"]) == 0
+    assert main(base) == 0
+    assert seen == [1e-3, 1e-7]
+    assert sets_mod.FEAS_TOL == 1e-7
 
 
 def test_bad_horizon_exits_nonzero(tmp_path, half_files):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hzreach import LpProblem, MilpProblem, SolveStatus, lp_solve, milp_solve
+from hzreach.lp import LpSession
 
 from conftest import milp_by_enumeration
 
@@ -126,3 +127,89 @@ def test_milp_deterministic():
         assert again.status is first.status
         assert np.array_equal(again.x, first.x)
         assert again.objective == first.objective
+
+
+# -- warm-started sessions against the one-shot reference -------------------
+
+def _sparse_feasible(rng, n, m):
+    A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.6)
+    witness = rng.uniform(-1, 1, size=n)
+    return A, A @ witness
+
+
+def test_session_matches_lp_solve_over_cost_changes():
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        n, m = int(rng.integers(3, 14)), int(rng.integers(1, 7))
+        A, b = _sparse_feasible(rng, n, m)
+        ones = np.ones(n)
+        session = LpSession(LpProblem(np.zeros(n), A, b, -ones, ones))
+        for _ in range(40):
+            c = rng.normal(size=n)
+            ref = lp_solve(LpProblem(c, A, b, -ones, ones))
+            got = session.solve(c)
+            assert ref.is_optimal and got.is_optimal
+            assert got.objective == pytest.approx(ref.objective, abs=1e-9)
+            assert np.max(np.abs(A @ got.x - b)) <= 1e-7
+            assert np.all(np.abs(got.x) <= 1.0)
+
+
+def test_session_matches_lp_solve_over_bound_changes():
+    rng = np.random.default_rng(32)
+    n, m = 7, 3
+    A, b = _sparse_feasible(rng, n, m)
+    c = rng.normal(size=n)
+    session = LpSession(LpProblem(c, A, b, -np.ones(n), np.ones(n)))
+    statuses = []
+    for step in range(60):
+        lb, ub = -np.ones(n), np.ones(n)
+        if step % 3:  # pin some entries to a vertex value; often infeasible
+            pins = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+            lb[pins] = ub[pins] = rng.choice([-1.0, 1.0], size=pins.size)
+        if step % 5 == 0:
+            c = rng.normal(size=n)
+        ref = lp_solve(LpProblem(c, A, b, lb, ub))
+        got = session.solve(c, lb, ub)
+        assert got.status is ref.status
+        if ref.is_optimal:
+            assert got.objective == pytest.approx(ref.objective, abs=1e-9)
+            assert np.all(got.x >= lb) and np.all(got.x <= ub)
+        statuses.append(ref.status)
+    pairs = set(zip(statuses, statuses[1:]))
+    assert (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE) in pairs
+    assert (SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL) in pairs
+
+
+def test_session_without_rows_or_variables():
+    ones = np.ones(3)
+    session = LpSession(LpProblem([1.0, -2.0, 0.5], np.zeros((0, 3)), [], -ones, ones))
+    for c, lb in (([1.0, -2.0, 0.5], -ones), ([-1.0, 1.0, 3.0], -ones),
+                  ([-1.0, 1.0, 3.0], [-1.0, 0.5, -1.0])):
+        ref = lp_solve(LpProblem(c, np.zeros((0, 3)), [], lb, ones))
+        got = session.solve(c, lb, ones)
+        assert got.is_optimal and got.objective == pytest.approx(ref.objective, abs=1e-12)
+    for b, status in (([], SolveStatus.OPTIMAL), ([0.0], SolveStatus.OPTIMAL),
+                      ([1.0], SolveStatus.INFEASIBLE)):
+        p = LpProblem([], np.zeros((len(b), 0)), b, [], [])
+        assert LpSession(p).solve().status is lp_solve(p).status is status
+
+
+def test_fresh_sessions_repeat_bitwise():
+    rng = np.random.default_rng(33)
+    n, m = 9, 4
+    A, b = _sparse_feasible(rng, n, m)
+    steps = []
+    for _ in range(30):
+        lb, ub = -np.ones(n), np.ones(n)
+        i = int(rng.integers(n))
+        lb[i] = ub[i] = rng.choice([-1.0, 1.0])
+        steps.append((rng.normal(size=n), lb, ub))
+    runs = []
+    for _ in range(2):
+        session = LpSession(LpProblem(np.zeros(n), A, b, -np.ones(n), np.ones(n)))
+        runs.append([session.solve(c, lb, ub) for c, lb, ub in steps])
+    for first, again in zip(*runs):
+        assert first.status is again.status
+        if first.is_optimal:
+            assert np.array_equal(first.x, again.x)
+            assert first.objective == again.objective

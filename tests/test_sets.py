@@ -6,6 +6,8 @@ import pytest
 from hzreach import (ComplexityRecord, EmptySetError, FactorPoint, HybridZonotope,
                      PrefixMismatchError)
 
+from hzreach.projection import emit_projection
+
 from conftest import box, membership_predicate, random_hz, unit_directions
 
 
@@ -284,6 +286,36 @@ def test_samples_pass_membership():
     Z = random_hz(rng, dim=3, n_g=5, n_b=3, n_c=3)
     for p in Z.sample_points(30, 2):
         assert Z.contains_point(p, 1e-9)
+
+
+def test_samples_and_projection_of_set_feasible_only_within_tolerance():
+    # the row holds only within FEAS_TOL: emptiness and leaf enumeration call
+    # the set nonempty, so sampling and projection must not fail on it
+    Z = HybridZonotope(Gc=np.eye(2), c=[0.0, 0.0], Ac=[[1.0, 0.0]], b=[1 + 5e-8])
+    assert not Z.is_empty()
+    pts = Z.sample_points(20, 0)
+    assert np.all(np.abs(pts[:, 0] - 1.0) <= 1e-7)
+    assert np.all(np.abs(pts[:, 1]) <= 1.0)
+    polys = emit_projection(Z, (0, 1), 16)
+    assert len(polys) == 1
+    assert np.max(polys[0][:, 0]) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_binary_leaves_enumerated_once_per_set(monkeypatch):
+    import hzreach.sets as sets_mod
+    calls = []
+    real = sets_mod.enumerate_binary_leaves
+    monkeypatch.setattr(sets_mod, "enumerate_binary_leaves",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    Z = HybridZonotope(Gc=0.2 * np.eye(2), Gb=[[1.0], [0.0]], c=[0.0, 0.0])
+    Z.sample_points(10, 0)
+    assert len(emit_projection(Z, (0, 1), 8)) == 2
+    leaves = Z.feasible_binary_assignments()
+    assert len(calls) == 1 and len(leaves) == 2
+    with pytest.raises(ValueError):
+        leaves[0][0] = 1.0
+    with pytest.raises(RuntimeError):
+        Z.feasible_binary_assignments(limit=1)
 
 
 def test_samples_deterministic_for_seed():
