@@ -1,16 +1,16 @@
 """Hybrid-zonotope reachability and safety verification of closed-loop ReLU RNNs."""
 
-from .bounds import BoundsTable, count_unstable, hull_of_hz, propagate_intervals
+from .bounds import BoundsTable, count_unstable, propagate_intervals
 from .errors import (EmptyDomainError, EmptySeedError, EmptySetError, HzReachError,
                      NotUnstableError, PrefixMismatchError)
 from .intervals import IntervalVector
 from .lp import (LpProblem, MilpProblem, SolveResult, SolveStatus, lp_solve,
                  milp_solve)
-from .model import (ClosedLoopRnn, RnnLayer, Trajectory, hidden_at, load_model,
-                    save_model, simulate, step)
+from .model import (ClosedLoopRnn, RnnLayer, Trajectory, load_model, save_model,
+                    simulate, step)
 from .reach import (PlanEntry, PredictedComplexity, ReachSeries, RelaxationPlan,
-                    StatePairSet, brs, exact_plan, frs, predict_complexity,
-                    predicted_for_step, rank_unstable, state_pairs)
+                    brs, exact_plan, frs, predict_complexity, predicted_for_step,
+                    rank_unstable, state_pairs)
 from .relu import (NeuronInterval, ReluLabel, graph_interval, graph_triangle,
                    graph_vector, relu_layer_graph)
 from .sets import FEAS_TOL, ComplexityRecord, FactorPoint, HybridZonotope
@@ -26,11 +26,10 @@ __all__ = [
     "MilpProblem", "NeuronInterval", "NotUnstableError", "PlanEntry",
     "PredictedComplexity", "PrefixMismatchError", "ReachSeries", "ReluLabel",
     "RelaxationPlan", "RnnLayer", "Safety", "SafetyVerdict", "SolveResult",
-    "SolveStatus", "StatePairSet", "Trajectory", "UnsafeSequenceSet", "brs",
-    "count_unstable", "exact_plan", "frs", "graph_interval", "graph_triangle",
-    "graph_vector", "hidden_at", "hull_of_hz", "load_model", "lp_solve",
-    "milp_solve", "predict_complexity", "predicted_for_step",
-    "propagate_intervals", "rank_unstable", "relu_layer_graph", "save_model",
-    "simulate", "state_pairs", "step", "unsafe_sequences", "verify_backward",
-    "verify_forward",
+    "SolveStatus", "Trajectory", "UnsafeSequenceSet", "brs", "count_unstable",
+    "exact_plan", "frs", "graph_interval", "graph_triangle", "graph_vector",
+    "load_model", "lp_solve", "milp_solve", "predict_complexity",
+    "predicted_for_step", "propagate_intervals", "rank_unstable",
+    "relu_layer_graph", "save_model", "simulate", "state_pairs", "step",
+    "unsafe_sequences", "verify_backward", "verify_forward",
 ]

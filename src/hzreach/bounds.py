@@ -16,7 +16,6 @@ import numpy as np
 
 from .intervals import IntervalVector
 from .model import ClosedLoopRnn
-from .sets import HybridZonotope
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,6 @@ def propagate_intervals(m: ClosedLoopRnn, X: IntervalVector, T: int) -> BoundsTa
         state = _interval_relu(pre_y)
         h_prev = h_cur
     return BoundsTable(T, m.num_layers, hidden, output)
-
-
-def hull_of_hz(Z: HybridZonotope, mode: str = "generator_relaxed") -> IntervalVector:
-    """Interval hull of a hybrid zonotope (see HybridZonotope.interval_hull)."""
-    return Z.interval_hull(mode)
 
 
 def count_unstable(tbl: BoundsTable, t: int) -> int:

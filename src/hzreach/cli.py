@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import sets as _sets
@@ -32,30 +31,11 @@ _EXIT_BY_STATUS = {Safety.SAFE: 0, Safety.UNSAFE: 2, Safety.UNKNOWN: 3}
 _SAMPLES_PER_SET = 500
 
 
-@dataclass
-class RunConfig:
-    model: Path
-    out: Path
-    T: int
-    domain: Path | None = None
-    initial: Path | None = None
-    target: Path | None = None
-    unsafe: Path | None = None
-    nb: int | None = None
-    hull: str = "table"
-    dims: tuple[int, int] = (0, 1)
-    dirs: int = 64
-    seed: int = 0
-    tol: float | None = None
-
-
-def _build_series(model, domain_hz, cfg: RunConfig):
-    tbl = propagate_intervals(model, domain_hz.interval_hull("generator_relaxed"), cfg.T)
-    n_unstable = len(tbl.unstable_index())
-    nb = n_unstable if cfg.nb is None else cfg.nb
+def _build_series(model, domain_hz, args):
+    tbl = propagate_intervals(model, domain_hz.interval_hull("generator_relaxed"), args.T)
+    nb = len(tbl.unstable_index()) if args.nb is None else args.nb
     plan = rank_unstable(tbl, nb)
-    series = state_pairs(model, domain_hz, cfg.T, plan, hull_mode=cfg.hull, table=tbl)
-    return series
+    return state_pairs(model, domain_hz, args.T, plan, hull_mode=args.hull, table=tbl)
 
 
 def _dump(path: Path, obj) -> None:
@@ -63,105 +43,88 @@ def _dump(path: Path, obj) -> None:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
-def _emit_set(out_dir: Path, stem: str, hz: HybridZonotope, cfg: RunConfig,
-              seed: int):
+def _emit_set(args, stem: str, hz: HybridZonotope, seed: int):
     """Write the set itself plus its figure data; empty and 1-D sets get no
     polygons."""
-    hz.save(out_dir / f"{stem}.json")
+    hz.save(args.out / f"{stem}.json")
     if hz.is_empty():
         return [], None
     samples = hz.sample_points(_SAMPLES_PER_SET, seed)
     if hz.dim < 2:
-        with open(out_dir / f"{stem}_points.csv", "w") as fh:
+        with open(args.out / f"{stem}_points.csv", "w") as fh:
             fh.write("x0\n")
             fh.writelines(f"{float(p[0])!r}\n" for p in samples)
         return [], None
-    polygons = emit_projection(hz, cfg.dims, cfg.dirs)
-    points = samples[:, list(cfg.dims)]
-    write_points_csv(out_dir / f"{stem}_points.csv", points, cfg.dims)
-    write_svg(out_dir / f"{stem}.svg", [(stem, polygons, points)])
+    polygons = emit_projection(hz, args.dims, args.dirs)
+    points = samples[:, list(args.dims)]
+    write_points_csv(args.out / f"{stem}_points.csv", points, args.dims)
+    write_svg(args.out / f"{stem}.svg", [(stem, polygons, points)])
     return polygons, points
 
 
-def cmd_forward(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    domain = HybridZonotope.load(cfg.domain)
-    initial = HybridZonotope.load(cfg.initial)
-    series = _build_series(model, domain, cfg)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def _reach_run(args, route: str, source: HybridZonotope) -> dict:
+    """Reachable sets of ``source`` for steps 2..T on a series built over the
+    domain: ``route`` "frs" pins the pair sets' first block to the source,
+    "brs" their second.  Writes each set with its figure data, the overlay,
+    the complexity table and the series; returns the sets by step."""
+    series = _build_series(load_model(args.model), HybridZonotope.load(args.domain), args)
+    args.out.mkdir(parents=True, exist_ok=True)
+    reach = frs if route == "frs" else brs
+    reached = {}
     table_rows = []
     overlay = []
-    for t in range(2, cfg.T + 1):
-        reach_t = frs(series, initial, t)
-        polygons, points = _emit_set(cfg.out, f"frs_t{t}", reach_t, cfg, cfg.seed + t)
+    for t in range(2, args.T + 1):
+        reached[t] = reach(series, source, t)
+        polygons, points = _emit_set(args, f"{route}_t{t}", reached[t], args.seed + t)
         if polygons:
             overlay.append((f"t={t}", polygons, points))
-        predicted = predicted_for_step(series, t, initial.complexity,
-                                       initial.complexity).frs
+        predicted = predicted_for_step(series, t, source.complexity, source.complexity)
         table_rows.append({
             "t": t,
             "n_unstable": count_unstable(series.table, t),
             "n_exact": series.plan.exact_through(t),
-            "measured": list(reach_t.complexity.astuple()),
-            "predicted": list(predicted.astuple()),
+            "measured": list(reached[t].complexity.astuple()),
+            "predicted": list(getattr(predicted, route).astuple()),
         })
     if overlay:
-        write_svg(cfg.out / "frs_overlay.svg", overlay)
-    _dump(cfg.out / "complexity.json", table_rows)
-    _dump(cfg.out / "series.json", series.to_json_dict())
+        write_svg(args.out / f"{route}_overlay.svg", overlay)
+    _dump(args.out / "complexity.json", table_rows)
+    _dump(args.out / "series.json", series.to_json_dict())
+    return reached
+
+
+def cmd_forward(args) -> int:
+    _reach_run(args, "frs", HybridZonotope.load(args.initial))
     return 0
 
 
-def cmd_backward(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    domain = HybridZonotope.load(cfg.domain)
-    target = HybridZonotope.load(cfg.target)
-    initial = HybridZonotope.load(cfg.initial) if cfg.initial else None
-    series = _build_series(model, domain, cfg)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    table_rows = []
-    overlay = []
+def cmd_backward(args) -> int:
+    initial = HybridZonotope.load(args.initial) if args.initial else None
+    reached = _reach_run(args, "brs", HybridZonotope.load(args.target))
+    if initial is None:
+        return 0
     summary = []
-    tgt_rec = target.complexity
-    for t in range(2, cfg.T + 1):
-        back_t = brs(series, target, t)
-        polygons, points = _emit_set(cfg.out, f"brs_t{t}", back_t, cfg, cfg.seed + t)
-        if polygons:
-            overlay.append((f"t={t}", polygons, points))
-        predicted = predicted_for_step(series, t, tgt_rec, tgt_rec).brs
-        table_rows.append({
-            "t": t,
-            "n_unstable": count_unstable(series.table, t),
-            "n_exact": series.plan.exact_through(t),
-            "measured": list(back_t.complexity.astuple()),
-            "predicted": list(predicted.astuple()),
-        })
-        if initial is not None:
-            seed_t = back_t.generalized_intersect(initial)
-            empty = seed_t.is_empty()
-            summary.append({"t": t, "seed_set_empty": empty})
-            if not empty:
-                seed_t.save(cfg.out / f"seed_t{t}.json")
-    if overlay:
-        write_svg(cfg.out / "brs_overlay.svg", overlay)
-    _dump(cfg.out / "complexity.json", table_rows)
-    _dump(cfg.out / "series.json", series.to_json_dict())
-    if initial is not None:
-        _dump(cfg.out / "backward_summary.json", summary)
+    for t, back_t in reached.items():
+        seed_t = back_t.generalized_intersect(initial)
+        empty = seed_t.is_empty()
+        summary.append({"t": t, "seed_set_empty": empty})
+        if not empty:
+            seed_t.save(args.out / f"seed_t{t}.json")
+    _dump(args.out / "backward_summary.json", summary)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    model = load_model(cfg.model)
-    domain = HybridZonotope.load(cfg.domain)
-    initial = HybridZonotope.load(cfg.initial)
-    unsafe = HybridZonotope.load(cfg.unsafe)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args) -> int:
+    model = load_model(args.model)
+    domain = HybridZonotope.load(args.domain)
+    initial = HybridZonotope.load(args.initial)
+    unsafe = HybridZonotope.load(args.unsafe)
+    args.out.mkdir(parents=True, exist_ok=True)
 
-    fwd_series = _build_series(model, initial, cfg)
-    fwd = verify_forward(fwd_series, unsafe, seed=cfg.seed)
-    bwd_series = _build_series(model, domain, cfg)
-    bwd = verify_backward(bwd_series, unsafe, initial, seed=cfg.seed)
+    fwd_series = _build_series(model, initial, args)
+    fwd = verify_forward(fwd_series, unsafe, seed=args.seed)
+    bwd_series = _build_series(model, domain, args)
+    bwd = verify_backward(bwd_series, unsafe, initial, seed=args.seed)
 
     if Safety.UNSAFE in (fwd.status, bwd.status):
         status = Safety.UNSAFE
@@ -174,14 +137,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         "forward": fwd.to_json_dict(),
         "backward": bwd.to_json_dict(),
         "complexity": {
-            route: [{"t": t, "pair": list(s.pair_set(t).hz.complexity.astuple())}
-                    for t in range(2, cfg.T + 1)]
+            route: [{"t": t, "pair": list(s.pair_set(t).complexity.astuple())}
+                    for t in range(2, args.T + 1)]
             for route, s in (("forward", fwd_series), ("backward", bwd_series))
         },
         "binary_limit": fwd_series.plan.binary_limit,
-        "horizon": cfg.T,
+        "horizon": args.T,
     }
-    _dump(cfg.out / "verdict.json", report)
+    _dump(args.out / "verdict.json", report)
     print(f"verdict: {status.value}")
     return _EXIT_BY_STATUS[status]
 
@@ -244,35 +207,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(args) -> RunConfig:
-    cfg = RunConfig(model=args.model, out=args.out, T=args.T,
-                    domain=getattr(args, "domain", None),
-                    initial=getattr(args, "initial", None),
-                    target=getattr(args, "target", None),
-                    unsafe=getattr(args, "unsafe", None),
-                    nb=args.nb, hull=args.hull, dims=args.dims,
-                    dirs=args.dirs, seed=args.seed, tol=args.tol)
-    if cfg.T < 2:
-        raise ValueError("horizon -T must be at least 2")
-    if cfg.nb is not None and cfg.nb < 0:
-        raise ValueError("--nb must be nonnegative")
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     previous_tol = _sets.FEAS_TOL
     try:
-        cfg = _to_config(args)
-        if cfg.tol is not None:
-            if cfg.tol <= 0:
+        if args.T < 2:
+            raise ValueError("horizon -T must be at least 2")
+        if args.nb is not None and args.nb < 0:
+            raise ValueError("--nb must be nonnegative")
+        if args.tol is not None:
+            if args.tol <= 0:
                 raise ValueError("--tol must be positive")
-            _sets.FEAS_TOL = cfg.tol
+            _sets.FEAS_TOL = args.tol
         if args.command == "forward":
-            return cmd_forward(cfg)
+            return cmd_forward(args)
         if args.command == "backward":
-            return cmd_backward(cfg)
-        return cmd_verify(cfg)
+            return cmd_backward(args)
+        return cmd_verify(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, HzReachError) as err:
         print(f"hzreach: error: {err}", file=sys.stderr)
         return 1

@@ -45,7 +45,6 @@ _HIGHS_OPTIONS = {
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)

@@ -171,10 +171,6 @@ def simulate(m: ClosedLoopRnn, x1: np.ndarray, T: int) -> Trajectory:
     return Trajectory(np.array(states), tuple(hidden_snapshots))
 
 
-def hidden_at(traj: Trajectory, t: int, layer: int) -> np.ndarray:
-    return traj.hidden_at(t, layer)
-
-
 # -- JSON model format -------------------------------------------------------
 #
 # {"state_dim": n,

@@ -47,7 +47,10 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
     normals of the chords between adjacent support maximizers, so facets
     revealed by the sampled directions are cut exactly; every added
     halfplane's offset is its own LP support value, keeping the polygon a
-    superset of the fiber's projection.
+    superset of the fiber's projection.  A flat fiber (a segment or a point)
+    lies exactly on its opposite halfplanes, which rounding in the support
+    values can cross; if the polygon comes out without area, the offsets are
+    widened outward by 1e-9 of the start box's extent, so it keeps the fiber.
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -57,7 +60,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
         h, p = _fiber_support(fibers, xb, d)
         supports.append(h)
         maximizers.append(p)
-    extra = []
+    halfplanes = list(zip(dirs, supports))
     for k in range(k_dirs):
         delta = maximizers[(k + 1) % k_dirs] - maximizers[k]
         norm = np.hypot(*delta)
@@ -66,12 +69,18 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
         n = np.array([delta[1], -delta[0]]) / norm
         if n @ (dirs[k] + dirs[(k + 1) % k_dirs]) < 0:
             n = -n
-        extra.append(n)
-    poly = start_box
-    for d, h in zip(dirs, supports):
-        poly = _clip(poly, d, h)
-    for n in extra:
-        poly = _clip(poly, n, _fiber_support(fibers, xb, n)[0])
+        halfplanes.append((n, _fiber_support(fibers, xb, n)[0]))
+    poly = _cut(start_box, halfplanes, 0.0)
+    x, y = poly[:, 0], poly[:, 1]
+    if abs(x @ np.roll(y, -1) - y @ np.roll(x, -1)) <= 1e-12:  # shoelace, 0 when flat
+        poly = _cut(start_box, halfplanes, 1e-9 * float(np.max(np.abs(start_box))))
+    return poly
+
+
+def _cut(poly: np.ndarray, halfplanes, widening: float) -> np.ndarray:
+    """The polygon clipped by every halfplane d@x <= h + widening, tidied."""
+    for d, h in halfplanes:
+        poly = _clip(poly, d, h + widening)
     return _tidy(poly)
 
 

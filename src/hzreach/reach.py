@@ -52,10 +52,6 @@ class RelaxationPlan:
     def all_exact(self) -> bool:
         return all(e.label is ReluLabel.EXACT for e in self.entries)
 
-    def unstable_through(self, t: int) -> int:
-        """Unstable units contributing to the step-t pair set (stages 1..t-1)."""
-        return sum(1 for e in self.entries if e.t <= t - 1)
-
     def exact_through(self, t: int) -> int:
         return sum(1 for e in self.entries
                    if e.t <= t - 1 and e.label is ReluLabel.EXACT)
@@ -96,17 +92,12 @@ def exact_plan(tbl: BoundsTable) -> RelaxationPlan:
 
 
 @dataclass(frozen=True)
-class StatePairSet:
-    """Pairs (x_1, x_t) in R^(2n): initial-state block then step-t block."""
-
-    t: int
-    hz: HybridZonotope
-    complexity: ComplexityRecord
-
-
-@dataclass(frozen=True)
 class ReachSeries:
-    """Per-step pair sets plus everything needed to extract FRSs and BRSs."""
+    """Per-step pair sets plus everything needed to extract FRSs and BRSs.
+
+    ``pairs[t]`` is the step-t pair set: the pairs (x_1, x_t) in R^(2n),
+    initial-state block first, then the step-t block.
+    """
 
     model: ClosedLoopRnn
     domain: HybridZonotope
@@ -119,7 +110,7 @@ class ReachSeries:
     def horizon(self) -> int:
         return max(self.pairs)
 
-    def pair_set(self, t: int) -> StatePairSet:
+    def pair_set(self, t: int) -> HybridZonotope:
         if t not in self.pairs:
             raise IndexError(f"step {t} outside series range 2..{self.horizon}")
         return self.pairs[t]
@@ -130,9 +121,9 @@ class ReachSeries:
             "hull_mode": self.hull_mode,
             "binary_limit": self.plan.binary_limit,
             "plan": self.plan.to_json_list(),
-            "pairs": {str(t): {"set": p.hz.to_json_dict(),
-                               "complexity": list(p.complexity.astuple())}
-                      for t, p in sorted(self.pairs.items())},
+            "pairs": {str(t): {"set": hz.to_json_dict(),
+                               "complexity": list(hz.complexity.astuple())}
+                      for t, hz in sorted(self.pairs.items())},
         }
 
 
@@ -196,17 +187,16 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
         Zy = inp.affine_map(m.Wy, m.vy)
         ivs, labs = _stage(Zy, t, table.output_layer, labels, table, hull_mode)
         _, state_set = relu_layer_graph(Zy, ivs, labs)
-        pair_hz = X.constrained_product(state_set)
-        pairs[t + 1] = StatePairSet(t + 1, pair_hz, pair_hz.complexity)
+        pairs[t + 1] = X.constrained_product(state_set)
         prev_hidden = new_hidden
     return ReachSeries(m, X, pairs, plan, table, hull_mode)
 
 
-def _selector(n: int, block: int) -> np.ndarray:
-    """[I 0] for block 0, [0 I] for block 1, mapping R^(2n) onto R^n."""
-    R = np.zeros((n, 2 * n))
-    R[:, block * n:(block + 1) * n] = np.eye(n)
-    return R
+def _pin(series: ReachSeries, S: HybridZonotope, t: int, block: int) -> HybridZonotope:
+    """Pin one block of the step-t pair set to S and keep the other block."""
+    selectors = np.split(np.eye(2 * series.model.state_dim), 2)  # [I 0], [0 I]
+    pinned = series.pair_set(t).generalized_intersect(S, selectors[block])
+    return pinned.affine_map(selectors[1 - block])
 
 
 def frs(series: ReachSeries, X1: HybridZonotope, t: int) -> HybridZonotope:
@@ -214,19 +204,13 @@ def frs(series: ReachSeries, X1: HybridZonotope, t: int) -> HybridZonotope:
     series domain): project the pair set onto its second block after pinning
     the first block to X1.  Exact for all-exact plans, a sound superset
     otherwise."""
-    pair = series.pair_set(t).hz
-    n = series.model.state_dim
-    restricted = pair.generalized_intersect(X1, _selector(n, 0))
-    return restricted.affine_map(_selector(n, 1))
+    return _pin(series, X1, t, 0)
 
 
 def brs(series: ReachSeries, target: HybridZonotope, t: int) -> HybridZonotope:
     """Step-t backward reachable set of a target within the series domain:
     pin the pair set's second block to the target, keep the first."""
-    pair = series.pair_set(t).hz
-    n = series.model.state_dim
-    restricted = pair.generalized_intersect(target, _selector(n, 1))
-    return restricted.affine_map(_selector(n, 0))
+    return _pin(series, target, t, 1)
 
 
 @dataclass(frozen=True)

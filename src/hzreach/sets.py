@@ -20,10 +20,12 @@ import numpy as np
 
 from .errors import EmptySetError, PrefixMismatchError
 from .intervals import IntervalVector
-from .lp import LpProblem, LpSession, MilpProblem, enumerate_binary_leaves, milp_solve
+from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
+                 milp_solve)
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
-# all feasibility decisions (emptiness, membership).
+# all feasibility decisions (emptiness, membership); support, exact hulls and
+# sampling hold the rows exactly where they can and use the slack where not.
 FEAS_TOL = 1e-7
 
 
@@ -148,10 +150,6 @@ class HybridZonotope:
     def from_point(cls, x) -> "HybridZonotope":
         x = np.asarray(x, dtype=float).reshape(-1)
         return cls(c=x)
-
-    @classmethod
-    def from_interval(cls, iv: IntervalVector) -> "HybridZonotope":
-        return cls.from_box(iv.lower, iv.upper)
 
     # -- factor evaluation -------------------------------------------------
 
@@ -302,6 +300,18 @@ class HybridZonotope:
         binaries = tuple(range(self.n_g, self.n_g + self.n_b))
         return MilpProblem(LpProblem(c, A, rhs, lb, ub), binaries)
 
+    def _minimize(self, objective: np.ndarray) -> SolveResult:
+        """Minimum of objective @ [xc, xb] over the factors, by branch-and-bound.
+
+        Rows hold exactly where they can; a set that is nonempty only within
+        the FEAS_TOL slack that emptiness and leaf enumeration allow is
+        optimized within that slack, so it is never called empty here.
+        """
+        res = milp_solve(self._milp(objective))
+        if not res.is_optimal:
+            res = milp_solve(self._milp(objective, slack=FEAS_TOL))
+        return res
+
     def is_empty(self) -> bool:
         """True iff no feasible factor assignment exists (within FEAS_TOL slack)."""
         if self._empty is None:
@@ -349,7 +359,7 @@ class HybridZonotope:
         if d.size != self.dim:
             raise ValueError("direction dimension mismatch")
         obj = -np.concatenate([d @ self.Gc, d @ self.Gb])
-        res = milp_solve(self._milp(obj))
+        res = self._minimize(obj)
         if not res.is_optimal:
             raise EmptySetError("support of an empty set")
         return float(-res.objective + d @ self.c)
@@ -370,10 +380,10 @@ class HybridZonotope:
         upper = np.empty(self.dim)
         for i in range(self.dim):
             row = np.concatenate([self.Gc[i], self.Gb[i]])
-            lo = milp_solve(self._milp(row))
+            lo = self._minimize(row)
             if not lo.is_optimal:
                 raise EmptySetError("interval hull of an empty set")
-            hi = milp_solve(self._milp(-row))
+            hi = self._minimize(-row)
             lower[i] = lo.objective + self.c[i]
             upper[i] = -hi.objective + self.c[i]
         return IntervalVector(np.minimum(lower, upper), np.maximum(lower, upper))

@@ -107,23 +107,16 @@ def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
     """Forward safety condition on a series built from the initial set.
 
     Checks emptiness of FRS_t intersected with the unsafe region for
-    t = 2..T.  All empty means Safe.  Otherwise initial states of pairs whose
-    step-t block lies in the unsafe region are sampled and simulated; a
-    confirmed trajectory gives Unsafe with that witness, no confirmation
-    gives Unknown.
+    t = 2..T, which is empty exactly when the step-t BRS of the unsafe
+    region over this series is.  All empty means Safe.  Otherwise initial
+    states from that BRS are sampled and simulated; a confirmed trajectory
+    gives Unsafe with that witness, no confirmation gives Unknown.
     """
     horizon = series.horizon if T is None else T
     early = _initial_overlap(series.domain, unsafe, seed)
     if early is not None:
         return early
-
-    def reached_initials(t):
-        n = series.model.state_dim
-        sel = np.hstack([np.zeros((n, n)), np.eye(n)])
-        pinned = series.pair_set(t).hz.generalized_intersect(unsafe, sel)
-        return pinned.affine_map(np.hstack([np.eye(n), np.zeros((n, n))]))
-
-    return _verdict(series, unsafe, horizon, reached_initials, seed)
+    return _verdict(series, unsafe, horizon, lambda t: brs(series, unsafe, t), seed)
 
 
 def verify_backward(series: ReachSeries, unsafe: HybridZonotope,

@@ -135,3 +135,21 @@ def point_in_convex_polygon(p, vertices, tol=1e-7) -> bool:
         elif s != sign:
             return False
     return True
+
+
+def distance_to_convex_polygon(p, vertices) -> float:
+    """Euclidean distance from p to an ordered convex polygon, which may be
+    degenerate (a segment or a point); inf for no vertices."""
+    v = np.asarray(vertices, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if len(v) == 0:
+        return float("inf")
+    edges = np.roll(v, -1, axis=0) - v
+    cross = edges[:, 0] * (p[1] - v[:, 1]) - edges[:, 1] * (p[0] - v[:, 0])
+    if len(v) >= 3 and (np.all(cross >= 0) or np.all(cross <= 0)):
+        return 0.0
+    best = float("inf")
+    for a, e in zip(v, edges):
+        s = 0.0 if not e.any() else float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
+        best = min(best, float(np.linalg.norm(p - (a + s * e))))
+    return best

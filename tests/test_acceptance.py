@@ -78,7 +78,7 @@ def test_criterion_1_complexity_formulas():
             series = state_pairs(m, X, T, rank_unstable(tbl, n_b), table=tbl)
             for t in range(2, T + 1):
                 pred = predicted_for_step(series, t, X1.complexity, tgt.complexity)
-                assert series.pair_set(t).hz.complexity == pred.pair
+                assert series.pair_set(t).complexity == pred.pair
                 assert frs(series, X1, t).complexity == pred.frs
                 assert brs(series, tgt, t).complexity == pred.brs
                 checked += 3
@@ -110,7 +110,7 @@ def test_criterion_2_exactness_of_pair_sets_and_reach_sets():
                 assert R.contains_point(endpoint, MEMBER_TOL)
         # (b) 200 sampled pairs per pair set satisfy the dynamics
         for t in range(2, T + 1):
-            S = series.pair_set(t).hz
+            S = series.pair_set(t)
             for p in S.sample_points(200, 1000 + t):
                 traj = simulate(m, p[:n], t)
                 assert np.max(np.abs(traj.states[t - 1] - p[n:])) <= MEMBER_TOL
@@ -333,7 +333,7 @@ def test_criterion_8_end_to_end_workflow_rerun(tmp_path):
         for x1 in grid:
             endpoint = simulate(m, x1, t).states[t - 1]
             assert R.contains_point(endpoint, MEMBER_TOL)
-    S = series.pair_set(T).hz
+    S = series.pair_set(T)
     for p in S.sample_points(200, 8):
         traj = simulate(m, p[:n], T)
         assert np.max(np.abs(traj.states[T - 1] - p[n:])) <= MEMBER_TOL

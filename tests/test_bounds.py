@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hzreach import (ClosedLoopRnn, HybridZonotope, IntervalVector, RnnLayer,
-                     count_unstable, hull_of_hz, propagate_intervals, simulate)
+                     count_unstable, propagate_intervals, simulate)
 
 from conftest import box, random_system
 
@@ -60,15 +60,16 @@ def test_enlarging_domain_never_shrinks_intervals():
         assert big.output[t].encloses(iv)
 
 
-def test_hull_of_hz_modes():
+def test_interval_hull_modes():
     Z = box([-1, -1], [1, 1])
-    relaxed = hull_of_hz(Z)
+    relaxed = Z.interval_hull("generator_relaxed")
     assert np.allclose(relaxed.lower, -1) and np.allclose(relaxed.upper, 1)
     # cancelling generators with a coupling constraint: exact {0}, relaxed superset
     D = HybridZonotope(Gc=[[1.0, -1.0]], c=[0.0], Ac=[[1.0, -1.0]], b=[0.0])
-    assert hull_of_hz(D, "exact").upper[0] == pytest.approx(0.0, abs=1e-9)
-    assert hull_of_hz(D).upper[0] == pytest.approx(2.0)
-    assert hull_of_hz(D).encloses(hull_of_hz(D, "exact"), tol=1e-9)
+    assert D.interval_hull("exact").upper[0] == pytest.approx(0.0, abs=1e-9)
+    assert D.interval_hull("generator_relaxed").upper[0] == pytest.approx(2.0)
+    assert D.interval_hull("generator_relaxed").encloses(D.interval_hull("exact"),
+                                                         tol=1e-9)
 
 
 def test_count_unstable_cases(half, gate):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, l
                      save_model)
 from hzreach.cli import main
 from hzreach.projection import emit_projection
+from hzreach.sets import FiberLp
 from hzreach.relu import graph_triangle
 from hzreach.systems import gate_system, half_system
 
-from conftest import box, point_in_convex_polygon, polygon_area
+from conftest import (box, distance_to_convex_polygon, point_in_convex_polygon,
+                      polygon_area)
 
 
 # -- projection polygons -------------------------------------------------
@@ -44,6 +47,21 @@ def test_sampled_points_fall_inside_polygon_union():
     pts = Z.sample_points(500, 1)[:, [0, 2]]
     for p in pts:
         assert any(point_in_convex_polygon(p, poly, tol=1e-6) for poly in polys)
+
+
+def test_flat_fibers_keep_their_polygons():
+    # FRS_2 of the demo model on the unit square: most of its fibers are
+    # segments on x_0 = 0, which exact support offsets used to cut away
+    Z = HybridZonotope.load(Path(__file__).parent / "data" / "flat_fibers.json")
+    polys = emit_projection(Z, (0, 1), 16)
+    fibers = FiberLp(Z)
+    rng = np.random.default_rng(0)
+    for xb, poly in zip(Z.feasible_binary_assignments(), polys):
+        for _ in range(20):
+            p = fibers.point(xb, rng.standard_normal(Z.n_g))
+            assert distance_to_convex_polygon(p, poly) <= 1e-6
+    for p in Z.sample_points(200, 1):
+        assert min(distance_to_convex_polygon(p, poly) for poly in polys) <= 1e-6
 
 
 def test_projection_of_empty_set_raises():
@@ -88,8 +106,12 @@ def test_polygon_supports_match_lp_supports():
 
 
 def test_cli_module_runs_as_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
+    import hzreach
+    # the child imports the package from where this process found it
+    paths = [str(Path(hzreach.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     save_model(half_system(), tmp_path / "model.json")
     box([0.0], [1.0]).save(tmp_path / "domain.json")
     box([0.5], [1.0]).save(tmp_path / "initial.json")
@@ -101,7 +123,8 @@ def test_cli_module_runs_as_subprocess(tmp_path):
          "--initial", str(tmp_path / "initial.json"),
          "--unsafe", str(tmp_path / "unsafe.json"),
          "-T", "3", "--out", str(tmp_path / "v")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
     assert proc.returncode == 0
     assert "verdict: safe" in proc.stdout
 
@@ -171,23 +194,28 @@ def test_forward_run_outputs_and_determinism(planar_files, tmp_path):
 
 
 def test_backward_run_matches_verify_on_seed_sets(planar_files, tmp_path):
-    out = tmp_path / "bwd"
-    code = main(["backward", "--model", str(planar_files / "model.json"),
-                 "--domain", str(planar_files / "domain.json"),
-                 "--initial", str(planar_files / "initial.json"),
-                 "--target", str(planar_files / "target.json"),
-                 "-T", "3", "--dirs", "16", "--out", str(out)])
-    assert code == 0
+    out, rerun = tmp_path / "bwd", tmp_path / "bwd2"
+    base = ["backward", "--model", str(planar_files / "model.json"),
+            "--domain", str(planar_files / "domain.json"),
+            "--initial", str(planar_files / "initial.json"),
+            "--target", str(planar_files / "target.json"),
+            "-T", "3", "--dirs", "16"]
+    assert main(base + ["--out", str(out)]) == 0
     for t in (2, 3):
         assert (out / f"brs_t{t}.json").exists()
+    # a rerun writes the same files, seed sets and summary included, byte for byte
+    assert main(base + ["--out", str(rerun)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in rerun.iterdir())
+    assert "backward_summary.json" in names and any(n.startswith("seed_t") for n in names)
+    for name in names:
+        assert (out / name).read_bytes() == (rerun / name).read_bytes()
     rows = json.loads((out / "complexity.json").read_text())
     for r in rows:
         assert r["measured"] == r["predicted"]
     summary = json.loads((out / "backward_summary.json").read_text())
     # cross-check against the verify module's emptiness decisions
-    from hzreach import brs, exact_plan, propagate_intervals, state_pairs
-    m = half_system  # placeholder replaced below
-    from hzreach.model import load_model
+    from hzreach import brs, exact_plan, load_model, propagate_intervals, state_pairs
     m = load_model(planar_files / "model.json")
     X = HybridZonotope.load(planar_files / "domain.json")
     X1 = HybridZonotope.load(planar_files / "initial.json")

@@ -61,11 +61,11 @@ def test_half_system_pair_set_members(half):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(half, X.interval_hull("exact"), 3)
     series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
-    S2 = series.pair_set(2).hz
+    S2 = series.pair_set(2)
     for x in np.linspace(0, 1, 11):
         assert S2.contains_point([x, 0.5 * x], 1e-7)
     assert not S2.contains_point([0.5, 0.4], 1e-7)
-    S3 = series.pair_set(3).hz
+    S3 = series.pair_set(3)
     assert S3.contains_point([0.8, 0.2], 1e-7)
     assert not S3.contains_point([0.8, 0.3], 1e-7)
 
@@ -113,7 +113,7 @@ def test_measured_complexity_matches_prediction_on_random_systems():
             series = state_pairs(m, X, T, plan, table=tbl)
             for t in range(2, T + 1):
                 pred = predicted_for_step(series, t, X1.complexity, X1.complexity)
-                assert series.pair_set(t).hz.complexity == pred.pair
+                assert series.pair_set(t).complexity == pred.pair
                 assert frs(series, X1, t).complexity == pred.frs
                 assert brs(series, X1, t).complexity == pred.brs
                 checked += 1
@@ -198,7 +198,7 @@ def test_exact_pair_sets_on_random_systems():
         series = state_pairs(m, X, T, exact_plan(tbl), table=tbl)
         hull = X.interval_hull("exact")
         for t in range(2, T + 1):
-            S = series.pair_set(t).hz
+            S = series.pair_set(t)
             for p in S.sample_points(30, t):
                 traj = simulate(m, p[:1], t)
                 assert np.max(np.abs(traj.states[t - 1] - p[1:])) <= 1e-6
@@ -216,7 +216,7 @@ def test_relaxed_pair_sets_contain_trajectories():
     for n_b in range(len(tbl.unstable_index()) + 1):
         series = _series_for(m, X, T, n_b, tbl)
         for t in range(2, T + 1):
-            S = series.pair_set(t).hz
+            S = series.pair_set(t)
             for x1 in grid_points(hull.lower, hull.upper, 9):
                 traj = simulate(m, x1, t)
                 assert S.contains_point(np.concatenate([x1, traj.states[t - 1]]), 1e-6)
@@ -276,9 +276,9 @@ def test_hull_mode_exactness_insensitivity():
     by_relaxed = state_pairs(m, X, T, plan, hull_mode="relaxed", table=tbl)
     for t in range(2, T + 1):
         dirs = unit_directions(32, 4, seed=30 + t)
-        a = [by_table.pair_set(t).hz.support(d) for d in dirs]
+        a = [by_table.pair_set(t).support(d) for d in dirs]
         for other in (by_exact, by_relaxed):
-            b = [other.pair_set(t).hz.support(d) for d in dirs]
+            b = [other.pair_set(t).support(d) for d in dirs]
             assert np.allclose(a, b, atol=1e-6)
 
 

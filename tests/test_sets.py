@@ -290,9 +290,14 @@ def test_samples_pass_membership():
 
 def test_samples_and_projection_of_set_feasible_only_within_tolerance():
     # the row holds only within FEAS_TOL: emptiness and leaf enumeration call
-    # the set nonempty, so sampling and projection must not fail on it
+    # the set nonempty, so support, hulls, sampling and projection must not
+    # fail on it
     Z = HybridZonotope(Gc=np.eye(2), c=[0.0, 0.0], Ac=[[1.0, 0.0]], b=[1 + 5e-8])
     assert not Z.is_empty()
+    assert Z.support([1.0, 0.0]) == pytest.approx(1.0, abs=1e-7)
+    hull = Z.interval_hull("exact")
+    assert hull.lower[0] == pytest.approx(1.0, abs=1e-7)
+    assert hull.upper[1] == pytest.approx(1.0, abs=1e-7)
     pts = Z.sample_points(20, 0)
     assert np.all(np.abs(pts[:, 0] - 1.0) <= 1e-7)
     assert np.all(np.abs(pts[:, 1]) <= 1.0)
