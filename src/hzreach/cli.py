@@ -18,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import sets as _sets
 from .bounds import count_unstable, propagate_intervals
 from .errors import HzReachError
 from .model import load_model
@@ -50,14 +49,12 @@ def _emit_set(args, stem: str, hz: HybridZonotope, seed: int):
     if hz.is_empty():
         return [], None
     samples = hz.sample_points(_SAMPLES_PER_SET, seed)
+    dims = args.dims if hz.dim >= 2 else (0,)
+    points = samples[:, list(dims)]
+    write_points_csv(args.out / f"{stem}_points.csv", points, dims)
     if hz.dim < 2:
-        with open(args.out / f"{stem}_points.csv", "w") as fh:
-            fh.write("x0\n")
-            fh.writelines(f"{float(p[0])!r}\n" for p in samples)
         return [], None
     polygons = emit_projection(hz, args.dims, args.dirs)
-    points = samples[:, list(args.dims)]
-    write_points_csv(args.out / f"{stem}_points.csv", points, args.dims)
     write_svg(args.out / f"{stem}.svg", [(stem, polygons, points)])
     return polygons, points
 
@@ -194,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dirs", type=int, default=64,
                        help="support directions per projection polygon")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the feasibility tolerance (default 1e-7)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_fwd = sub.add_parser("forward", help="compute forward reachable sets")
@@ -209,16 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    previous_tol = _sets.FEAS_TOL
     try:
         if args.T < 2:
             raise ValueError("horizon -T must be at least 2")
         if args.nb is not None and args.nb < 0:
             raise ValueError("--nb must be nonnegative")
-        if args.tol is not None:
-            if args.tol <= 0:
-                raise ValueError("--tol must be positive")
-            _sets.FEAS_TOL = args.tol
         if args.command == "forward":
             return cmd_forward(args)
         if args.command == "backward":
@@ -227,8 +217,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError, HzReachError) as err:
         print(f"hzreach: error: {err}", file=sys.stderr)
         return 1
-    finally:
-        _sets.FEAS_TOL = previous_tol
 
 
 if __name__ == "__main__":

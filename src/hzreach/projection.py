@@ -50,7 +50,8 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
     superset of the fiber's projection.  A flat fiber (a segment or a point)
     lies exactly on its opposite halfplanes, which rounding in the support
     values can cross; if the polygon comes out without area, the offsets are
-    widened outward by 1e-9 of the start box's extent, so it keeps the fiber.
+    widened outward by 1e-9 of the start box's extent, so it keeps the fiber,
+    and vertices closer than that widening are merged.
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -81,25 +82,27 @@ def _cut(poly: np.ndarray, halfplanes, widening: float) -> np.ndarray:
     """The polygon clipped by every halfplane d@x <= h + widening, tidied."""
     for d, h in halfplanes:
         poly = _clip(poly, d, h + widening)
-    return _tidy(poly)
+    return _tidy(poly, max(widening, 1e-12))
 
 
-def _tidy(poly: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop duplicate and collinear vertices left behind by tangent clips."""
+def _tidy(poly: np.ndarray, merge: float) -> np.ndarray:
+    """Drop vertices within ``merge`` of the last one kept, and vertices
+    collinear with their neighbours to a relative 1e-12, left behind by
+    tangent clips."""
     if len(poly) < 3:
         return poly
     keep = []
     for p in poly:
-        if not keep or np.hypot(*(p - keep[-1])) > tol:
+        if not keep or np.hypot(*(p - keep[-1])) > merge:
             keep.append(p)
-    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= tol:
+    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= merge:
         keep.pop()
     out = []
     m = len(keep)
     for i in range(m):
         a, b, c = keep[i - 1], keep[i], keep[(i + 1) % m]
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(cross) > tol:
+        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        if abs(cross) > 1e-12 * np.hypot(*(b - a)) * np.hypot(*(c - b)):
             out.append(b)
     return np.array(out if len(out) >= 3 else keep)
 
@@ -130,12 +133,12 @@ def emit_projection(Z: HybridZonotope, dims: tuple[int, int],
     return [support_polygon(fibers, xb, k_dirs, box) for xb in assignments]
 
 
-def write_points_csv(path, points: np.ndarray, dims: tuple[int, int]) -> None:
-    i, j = dims
+def write_points_csv(path, points: np.ndarray, dims) -> None:
+    """Points as CSV, one column x{i} per coordinate i in ``dims``."""
     with open(path, "w") as fh:
-        fh.write(f"x{i},x{j}\n")
+        fh.write(",".join(f"x{i}" for i in dims) + "\n")
         for p in points:
-            fh.write(f"{float(p[0])!r},{float(p[1])!r}\n")
+            fh.write(",".join(repr(float(v)) for v in p) + "\n")
 
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",

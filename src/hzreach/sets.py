@@ -301,16 +301,8 @@ class HybridZonotope:
         return MilpProblem(LpProblem(c, A, rhs, lb, ub), binaries)
 
     def _minimize(self, objective: np.ndarray) -> SolveResult:
-        """Minimum of objective @ [xc, xb] over the factors, by branch-and-bound.
-
-        Rows hold exactly where they can; a set that is nonempty only within
-        the FEAS_TOL slack that emptiness and leaf enumeration allow is
-        optimized within that slack, so it is never called empty here.
-        """
-        res = milp_solve(self._milp(objective))
-        if not res.is_optimal:
-            res = milp_solve(self._milp(objective, slack=FEAS_TOL))
-        return res
+        """Minimum of objective @ [xc, xb] over the factors, by branch-and-bound."""
+        return _exact_first(lambda slack: milp_solve(self._milp(objective, slack=slack)))
 
     def is_empty(self) -> bool:
         """True iff no feasible factor assignment exists (within FEAS_TOL slack)."""
@@ -475,22 +467,15 @@ class FiberLp:
     """Cost minimization over the continuous factors of one binary fiber.
 
     The fiber of a binary assignment xb is the constrained zonotope left when
-    the binaries are fixed to xb.  One LpSession over the set's factor space
-    [xc, xb, residuals] serves every fiber and cost of a query: a fiber's
-    binaries are pinned through column bounds.  Rows hold exactly where they
-    can; a fiber that is feasible only within the FEAS_TOL residual that
-    emptiness and leaf enumeration allow gets that residual, by a bounds
-    change in the same session.
+    the binaries are fixed to xb.  One LpSession per row slack over the set's
+    factor space serves every fiber and cost of a query: a fiber's binaries
+    are pinned through column bounds.  The session with the FEAS_TOL
+    residual columns is built only for a set with a fiber that needs it.
     """
 
     def __init__(self, hz: HybridZonotope):
         self.hz = hz
-        self._session = None
-        self._loose: set[bytes] = set()  # fibers that need the residual
-        if hz.n_g and hz.n_c:
-            p = hz._milp(np.zeros(hz.n_g + hz.n_b), slack=FEAS_TOL).lp
-            self._session = LpSession(p)
-            self._lb, self._ub = p.lb, p.ub  # residual columns last, at +/-FEAS_TOL
+        self._sessions: dict = {}  # row slack -> (LpSession, LpProblem)
 
     def point(self, xb: np.ndarray, cost: np.ndarray) -> np.ndarray:
         """The member point of fiber ``xb`` whose factors xc minimize cost @ xc.
@@ -501,26 +486,30 @@ class FiberLp:
         hz = self.hz
         if hz.n_g == 0:
             return hz.Gb @ xb + hz.c
-        if self._session is None:
+        if hz.n_c == 0:
             xc = np.where(cost > 0, -1.0, 1.0)
         else:
-            xc = self._argmin(xb, cost)
+            res = _exact_first(lambda slack: self._solve(slack, xb, cost))
+            if not res.is_optimal:
+                raise EmptySetError("enumerated assignment lost feasibility")
+            xc = res.x[:hz.n_g]
         return hz.Gc @ xc + hz.Gb @ xb + hz.c
 
-    def _argmin(self, xb: np.ndarray, cost: np.ndarray) -> np.ndarray:
-        n_g, residuals = self.hz.n_g, self.hz.n_g + self.hz.n_b
-        c = np.concatenate([cost, np.zeros(self._lb.size - n_g)])
-        lb, ub = self._lb.copy(), self._ub.copy()
-        lb[n_g:residuals] = ub[n_g:residuals] = xb
-        key = xb.tobytes()
-        if key not in self._loose:
-            exact_lb, exact_ub = lb.copy(), ub.copy()
-            exact_lb[residuals:] = exact_ub[residuals:] = 0.0
-            res = self._session.solve(c, exact_lb, exact_ub)
-            if res.is_optimal:
-                return res.x[:n_g]
-            self._loose.add(key)
-        res = self._session.solve(c, lb, ub)
-        if not res.is_optimal:
-            raise EmptySetError("enumerated assignment lost feasibility")
-        return res.x[:n_g]
+    def _solve(self, slack: float, xb: np.ndarray, cost: np.ndarray) -> SolveResult:
+        hz = self.hz
+        if slack not in self._sessions:
+            p = hz._milp(np.zeros(hz.n_g + hz.n_b), slack=slack).lp
+            self._sessions[slack] = (LpSession(p), p)
+        session, p = self._sessions[slack]
+        lb, ub = p.lb.copy(), p.ub.copy()
+        lb[hz.n_g:hz.n_g + hz.n_b] = ub[hz.n_g:hz.n_g + hz.n_b] = xb
+        return session.solve(np.concatenate([cost, np.zeros(p.num_vars - hz.n_g)]), lb, ub)
+
+
+def _exact_first(solve) -> SolveResult:
+    """``solve(0.0)`` with the rows held exactly or, only when that is
+    infeasible, ``solve(FEAS_TOL)`` with the row slack that emptiness and leaf
+    enumeration allow: a set or fiber those call nonempty is never empty to an
+    optimizing query, and one nonempty with exact rows gets exact results."""
+    res = solve(0.0)
+    return res if res.is_optimal else solve(FEAS_TOL)

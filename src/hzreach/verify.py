@@ -70,16 +70,17 @@ def _confirm(series: ReachSeries, candidates: np.ndarray, unsafe: HybridZonotope
     return None
 
 
-def _verdict(series, unsafe, horizon, candidate_set_for, seed):
+def _verdict(series, unsafe, candidates: dict, seed):
+    """Verdict from the candidate initial states ``candidates[t]`` of each
+    step t: Safe when every set is empty, else Unsafe when a sample of one
+    is confirmed by simulation, else Unknown."""
     start = time.perf_counter()
-    steps = list(range(2, horizon + 1))
-    flags = [candidate_set_for(t).is_empty() for t in steps]
-    evidence = list(zip(steps, flags))
+    evidence = [(t, Z.is_empty()) for t, Z in candidates.items()]
     witnesses = []
     for t, empty in evidence:
         if empty:
             continue
-        cands = candidate_set_for(t).sample_points(WITNESS_SAMPLES, seed + t)
+        cands = candidates[t].sample_points(WITNESS_SAMPLES, seed + t)
         x1 = _confirm(series, cands, unsafe, t)
         if x1 is not None:
             witnesses.append((t, x1))
@@ -116,7 +117,8 @@ def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
     early = _initial_overlap(series.domain, unsafe, seed)
     if early is not None:
         return early
-    return _verdict(series, unsafe, horizon, lambda t: brs(series, unsafe, t), seed)
+    candidates = {t: brs(series, unsafe, t) for t in range(2, horizon + 1)}
+    return _verdict(series, unsafe, candidates, seed)
 
 
 def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
@@ -131,11 +133,9 @@ def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
     early = _initial_overlap(X1, unsafe, seed)
     if early is not None:
         return early
-
-    def seed_set(t):
-        return brs(series, unsafe, t).generalized_intersect(X1)
-
-    return _verdict(series, unsafe, horizon, seed_set, seed)
+    candidates = {t: brs(series, unsafe, t).generalized_intersect(X1)
+                  for t in range(2, horizon + 1)}
+    return _verdict(series, unsafe, candidates, seed)
 
 
 def unsafe_sequences(series: ReachSeries, unsafe: HybridZonotope,

@@ -119,24 +119,6 @@ def polygon_area(vertices) -> float:
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def point_in_convex_polygon(p, vertices, tol=1e-7) -> bool:
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        return bool(len(v) and np.min(np.linalg.norm(v - p, axis=1)) <= tol)
-    sign = 0
-    for i in range(len(v)):
-        a, bb = v[i], v[(i + 1) % len(v)]
-        cross = (bb[0] - a[0]) * (p[1] - a[1]) - (bb[1] - a[1]) * (p[0] - a[0])
-        if abs(cross) <= tol:
-            continue
-        s = 1 if cross > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
 def distance_to_convex_polygon(p, vertices) -> float:
     """Euclidean distance from p to an ordered convex polygon, which may be
     degenerate (a segment or a point); inf for no vertices."""

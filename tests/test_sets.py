@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hzreach import (ComplexityRecord, EmptySetError, FactorPoint, HybridZonotope,
-                     PrefixMismatchError)
+from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, FactorPoint,
+                     HybridZonotope, PrefixMismatchError)
 
 from hzreach.projection import emit_projection
 
@@ -304,6 +306,39 @@ def test_samples_and_projection_of_set_feasible_only_within_tolerance():
     polys = emit_projection(Z, (0, 1), 16)
     assert len(polys) == 1
     assert np.max(polys[0][:, 0]) == pytest.approx(1.0, abs=1e-7)
+
+
+def _grazed(Z: HybridZonotope, row: int, side: float, delta: float) -> HybridZonotope:
+    """Z with the right-hand side of one row pushed ``delta`` past the range
+    its left-hand side spans under the other rows, on the ``side`` (+1 or -1)
+    end: the rows then hold together only within ``delta``."""
+    others = [i for i in range(Z.n_c) if i != row]
+    lhs = HybridZonotope(Gc=Z.Ac[[row]], Gb=Z.Ab[[row]], c=[0.0],
+                         Ac=Z.Ac[others], Ab=Z.Ab[others], b=Z.b[others])
+    b = Z.b.copy()
+    b[row] = side * (lhs.support([side]) + delta)
+    return HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3), n_g=st.integers(2, 4),
+       n_b=st.integers(0, 2), n_c=st.integers(1, 2), row=st.integers(0, 1),
+       side=st.sampled_from([None, -1.0, 1.0]), delta=st.floats(0.0, FEAS_TOL / 2))
+def test_queries_of_nonempty_sets_succeed_and_samples_lie_in_hull(seed, dim, n_g, n_b,
+                                                                   n_c, row, side, delta):
+    # one tolerance rule: a set that emptiness calls nonempty, grazing ones
+    # included, is nonempty to every optimizing query
+    rng = np.random.default_rng(seed)
+    Z = random_hz(rng, dim=dim, n_g=n_g, n_b=n_b, n_c=n_c)
+    if side is not None:
+        Z = _grazed(Z, row % n_c, side, delta)
+    if Z.is_empty():
+        return
+    assert np.isfinite(Z.support(rng.standard_normal(dim)))
+    hull = Z.interval_hull("exact")
+    pts = Z.sample_points(20, seed % 1000)
+    assert np.all(pts >= hull.lower - 1e-6) and np.all(pts <= hull.upper + 1e-6)
+    assert emit_projection(Z, (0, 1), 16)
 
 
 def test_binary_leaves_enumerated_once_per_set(monkeypatch):
