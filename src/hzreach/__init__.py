@@ -13,7 +13,7 @@ from .reach import (PlanEntry, PredictedComplexity, ReachSeries, RelaxationPlan,
                     rank_unstable, state_pairs)
 from .relu import (NeuronInterval, ReluLabel, graph_interval, graph_triangle,
                    graph_vector, relu_layer_graph)
-from .sets import FEAS_TOL, ComplexityRecord, FactorPoint, HybridZonotope
+from .sets import FEAS_TOL, ComplexityRecord, HybridZonotope
 from .verify import (Safety, SafetyVerdict, UnsafeSequenceSet, unsafe_sequences,
                      verify_backward, verify_forward)
 
@@ -21,9 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsTable", "ClosedLoopRnn", "ComplexityRecord", "EmptyDomainError",
-    "EmptySeedError", "EmptySetError", "FEAS_TOL", "FactorPoint",
-    "HybridZonotope", "HzReachError", "IntervalVector", "LpProblem",
-    "MilpProblem", "NeuronInterval", "NotUnstableError", "PlanEntry",
+    "EmptySeedError", "EmptySetError", "FEAS_TOL", "HybridZonotope",
+    "HzReachError", "IntervalVector", "LpProblem", "MilpProblem",
+    "NeuronInterval", "NotUnstableError", "PlanEntry",
     "PredictedComplexity", "PrefixMismatchError", "ReachSeries", "ReluLabel",
     "RelaxationPlan", "RnnLayer", "Safety", "SafetyVerdict", "SolveResult",
     "SolveStatus", "Trajectory", "UnsafeSequenceSet", "brs", "count_unstable",

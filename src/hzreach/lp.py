@@ -1,14 +1,18 @@
-"""Bounded-variable LP solving and branch-and-bound over {-1,+1} binaries.
+"""Bounded-variable LP solving and enumeration of {-1,+1} binary leaves.
 
 This is the engine behind emptiness, membership, support and exact interval
 hull queries on hybrid zonotopes.  Linear programs are equality-constrained
 with finite box bounds on every variable; binaries are variables restricted
-to the two values -1 and +1.  The LP relaxation is delegated to HiGHS via
-scipy, which returns vertex-optimal basic solutions deterministically.
+to the two values -1 and +1.  The LPs are delegated to HiGHS via scipy,
+which returns vertex-optimal basic solutions deterministically.
+
+``enumerate_binary_leaves`` is the one search over binaries: it lists every
+complete assignment whose pinned LP is feasible.  A MILP is then the best
+pinned LP over those leaves (``milp_solve``).
 
 Within one query the constraint rows never change, only the costs (samples,
-support and projection directions) or the column bounds (branch-and-bound
-nodes, pinned binaries).  ``LpSession`` therefore passes the model to HiGHS
+support and projection directions) or the column bounds (search nodes,
+pinned binaries).  ``LpSession`` therefore passes the model to HiGHS
 once and re-solves it warm from the last basis.  ``lp_solve`` is the one-shot
 solver through ``scipy.optimize.linprog`` and the reference that sessions
 are tested against.
@@ -28,12 +32,6 @@ try:
 except ImportError as err:  # scipy < 1.15 has no Python binding of HiGHS
     raise ImportError("hzreach needs scipy >= 1.15: LpSession drives HiGHS through "
                       "scipy.optimize._highspy._core, which this scipy lacks") from err
-
-# Tolerances used by the branch-and-bound search (see module design notes):
-# a binary is considered integral when within INTEGRALITY_TOL of +/-1, and
-# bound comparisons during pruning use PRUNE_TOL slack.
-INTEGRALITY_TOL = 1e-6
-PRUNE_TOL = 1e-9
 
 _HIGHS_OPTIONS = {
     "presolve": True,
@@ -210,77 +208,32 @@ class LpSession:
                            f"{h.modelStatusToString(status)})")
 
 
-def _fractional_binary(x: np.ndarray, binaries: tuple[int, ...], lb: np.ndarray,
-                       ub: np.ndarray) -> int | None:
-    """Lowest-index binary not yet integral within INTEGRALITY_TOL."""
-    for i in binaries:
-        if lb[i] == ub[i]:
-            continue
-        if min(abs(x[i] - 1.0), abs(x[i] + 1.0)) > INTEGRALITY_TOL:
-            return i
-    return None
-
-
-def _lowest_free_binary(binaries: tuple[int, ...], lb, ub) -> int | None:
-    for i in binaries:
-        if lb[i] != ub[i]:
-            return i
-    return None
-
-
-def _round_binaries(session: LpSession, binaries: tuple[int, ...], x: np.ndarray,
-                    lb: np.ndarray, ub: np.ndarray) -> SolveResult:
-    """Re-solve with every binary pinned to its rounded value for a clean vertex."""
-    lb2, ub2 = lb.copy(), ub.copy()
-    for i in binaries:
-        v = 1.0 if x[i] >= 0.0 else -1.0
-        lb2[i] = ub2[i] = v
-    return session.solve(lb=lb2, ub=ub2)
-
-
-def milp_solve(p: MilpProblem, stop_at_first: bool = False) -> SolveResult:
-    """Exact minimization over {-1,+1} binaries by depth-first branch-and-bound.
-
-    Branches the lowest-index fractional binary, exploring the -1 branch
-    first; nodes are pruned on LP infeasibility or on bound against the
-    incumbent.  With ``stop_at_first`` the search stops at the first integral
-    feasible solution, which is the mode used by feasibility queries.
-
-    Returns:
-        SolveResult whose solution (if any) has every binary entry exactly
-        at -1 or +1 and satisfies the constraints to LP tolerance.
-    """
-    binaries = p.binary_index
-    session = LpSession(p.lp)
-    best: SolveResult | None = None
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(p.lp.lb.copy(), p.lp.ub.copy())]
-    while stack:
-        lb, ub = stack.pop()
-        rel = session.solve(lb=lb, ub=ub)
-        if not rel.is_optimal:
-            continue
-        if best is not None and rel.objective >= best.objective - PRUNE_TOL:
-            continue
-        frac = _fractional_binary(rel.x, binaries, lb, ub)
-        if frac is None:
-            cand = _round_binaries(session, binaries, rel.x, lb, ub)
-            if cand.is_optimal:
-                if best is None or cand.objective < best.objective - PRUNE_TOL:
-                    best = cand
-                    if stop_at_first:
-                        return best
-                continue
-            # Rounding landed infeasible (boundary case): branch a free binary.
-            frac = _lowest_free_binary(binaries, lb, ub)
-            if frac is None:
-                continue
-        for v in (1.0, -1.0):  # pushed so that the -1 branch is explored first
-            lb2, ub2 = lb.copy(), ub.copy()
-            lb2[frac] = ub2[frac] = v
-            stack.append((lb2, ub2))
-    if best is None:
-        return SolveResult(SolveStatus.INFEASIBLE)
+def least(results) -> SolveResult:
+    """The optimal result with the least objective, the first one on ties;
+    infeasible when none is optimal."""
+    best = SolveResult(SolveStatus.INFEASIBLE)
+    for res in results:
+        if res.is_optimal and (not best.is_optimal or res.objective < best.objective):
+            best = res
     return best
+
+
+def milp_solve(p: MilpProblem) -> SolveResult:
+    """Exact minimization over {-1,+1} binaries: the least pinned LP over the
+    feasible leaves of ``enumerate_binary_leaves``, solved warm in one session.
+
+    The solution (if any) has every binary entry exactly at -1 or +1 and
+    satisfies the constraints to LP tolerance.
+    """
+    session = LpSession(p.lp)
+    cols = list(p.binary_index)
+
+    def pinned(xb: np.ndarray) -> SolveResult:
+        lb, ub = p.lp.lb.copy(), p.lp.ub.copy()
+        lb[cols] = ub[cols] = xb
+        return session.solve(lb=lb, ub=ub)
+
+    return least(pinned(xb) for xb in enumerate_binary_leaves(p))
 
 
 def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000) -> list[np.ndarray]:
@@ -289,6 +242,10 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000) -> list[np.nda
     Depth-first in index order with the -1 branch first, pruning subtrees
     whose LP relaxation is already infeasible; the returned order is
     deterministic.  The objective of ``p`` is ignored.
+
+    Raises:
+        RuntimeError: once more than ``limit`` leaves are found, so work on a
+            set with exponentially many leaves stays bounded.
     """
     binaries = p.binary_index
     leaves: list[np.ndarray] = []
@@ -299,11 +256,12 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000) -> list[np.nda
         lb, ub = stack.pop()
         if not session.solve(lb=lb, ub=ub).is_optimal:
             continue
-        i = _lowest_free_binary(binaries, lb, ub)
+        i = next((j for j in binaries if lb[j] != ub[j]), None)
         if i is None:
-            leaves.append(np.array([lb[j] for j in binaries]))
+            leaves.append(lb[list(binaries)])
             if len(leaves) > limit:
-                raise RuntimeError(f"more than {limit} feasible binary assignments")
+                raise RuntimeError(f"more than {limit} feasible binary assignments "
+                                   f"(stopped at {len(leaves)})")
             continue
         for v in (1.0, -1.0):
             lb2, ub2 = lb.copy(), ub.copy()

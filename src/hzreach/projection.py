@@ -51,7 +51,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
     lies exactly on its opposite halfplanes, which rounding in the support
     values can cross; if the polygon comes out without area, the offsets are
     widened outward by 1e-9 of the start box's extent, so it keeps the fiber,
-    and vertices closer than that widening are merged.
+    and that sliver is drawn as the rectangle around it (see ``_sliver``).
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -71,31 +71,46 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int,
         if n @ (dirs[k] + dirs[(k + 1) % k_dirs]) < 0:
             n = -n
         halfplanes.append((n, _fiber_support(fibers, xb, n)[0]))
-    poly = _cut(start_box, halfplanes, 0.0)
+    poly = _tidy(_cut(start_box, halfplanes, 0.0))
     x, y = poly[:, 0], poly[:, 1]
     if abs(x @ np.roll(y, -1) - y @ np.roll(x, -1)) <= 1e-12:  # shoelace, 0 when flat
-        poly = _cut(start_box, halfplanes, 1e-9 * float(np.max(np.abs(start_box))))
+        poly = _sliver(_cut(start_box, halfplanes, 1e-9 * float(np.max(np.abs(start_box)))))
     return poly
 
 
 def _cut(poly: np.ndarray, halfplanes, widening: float) -> np.ndarray:
-    """The polygon clipped by every halfplane d@x <= h + widening, tidied."""
+    """The polygon clipped by every halfplane d@x <= h + widening."""
     for d, h in halfplanes:
         poly = _clip(poly, d, h + widening)
-    return _tidy(poly, max(widening, 1e-12))
+    return poly
 
 
-def _tidy(poly: np.ndarray, merge: float) -> np.ndarray:
-    """Drop vertices within ``merge`` of the last one kept, and vertices
+def _sliver(poly: np.ndarray) -> np.ndarray:
+    """The rectangle around a thin polygon, aligned with the segment between
+    its end points (its two farthest vertices): each end cap, however many
+    vertices the clips left there, becomes the two corners at that end."""
+    if len(poly) < 3:
+        return poly
+    gaps = poly[:, None, :] - poly[None, :, :]
+    i, j = np.unravel_index(np.argmax(np.sum(gaps ** 2, axis=2)), gaps.shape[:2])
+    u = (poly[j] - poly[i]) / np.hypot(*(poly[j] - poly[i]))
+    n = np.array([-u[1], u[0]])
+    s, t = poly @ u, poly @ n
+    corners = ((s.min(), t.min()), (s.max(), t.min()), (s.max(), t.max()), (s.min(), t.max()))
+    return np.array([a * u + b * n for a, b in corners])
+
+
+def _tidy(poly: np.ndarray) -> np.ndarray:
+    """Drop vertices within 1e-12 of the last one kept, and vertices
     collinear with their neighbours to a relative 1e-12, left behind by
     tangent clips."""
     if len(poly) < 3:
         return poly
     keep = []
     for p in poly:
-        if not keep or np.hypot(*(p - keep[-1])) > merge:
+        if not keep or np.hypot(*(p - keep[-1])) > 1e-12:
             keep.append(p)
-    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= merge:
+    if len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= 1e-12:
         keep.pop()
     out = []
     m = len(keep)

@@ -6,9 +6,11 @@ A hybrid zonotope <Gc, Gb, c, Ac, Ab, b> represents the set
                                Ac @ xc + Ab @ xb = b }.
 
 All values are immutable after construction; every operation is a pure
-function of its inputs.  Queries that require optimization (membership,
-emptiness, support, exact interval hulls, sampling) are answered by the
-branch-and-bound engine in ``hzreach.lp``.
+function of its inputs.  The set is the union of its binary fibers, one per
+feasible {-1,+1} assignment of xb (a leaf).  ``hzreach.lp`` enumerates the
+leaves once per set, and emptiness, support, exact interval hulls and
+sampling are answered from that cache, by one LP per leaf (``FiberLp``).
+Membership enumerates the leaves of the set with the point's rows added.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import EmptySetError, PrefixMismatchError
 from .intervals import IntervalVector
 from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
-                 milp_solve)
+                 least)
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
 # all feasibility decisions (emptiness, membership); support, exact hulls and
@@ -43,18 +45,6 @@ class ComplexityRecord:
     def __add__(self, other: "ComplexityRecord") -> "ComplexityRecord":
         return ComplexityRecord(self.n_g + other.n_g, self.n_b + other.n_b,
                                 self.n_c + other.n_c)
-
-
-@dataclass(frozen=True)
-class FactorPoint:
-    """A factor assignment witnessing membership: xc in [-1,1]^ng, xb in {-1,+1}^nb."""
-
-    xi_c: np.ndarray
-    xi_b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi_c", np.asarray(self.xi_c, dtype=float).reshape(-1))
-        object.__setattr__(self, "xi_b", np.asarray(self.xi_b, dtype=float).reshape(-1))
 
 
 def _matrix(M, rows: int | None, cols: int | None, name: str) -> np.ndarray:
@@ -81,7 +71,7 @@ class HybridZonotope:
             None for all three means an unconstrained set.
     """
 
-    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_empty", "_leaves")
+    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_leaves")
 
     def __init__(self, Gc=None, Gb=None, c=None, Ac=None, Ab=None, b=None):
         c = np.array(c, dtype=float).reshape(-1)
@@ -103,7 +93,6 @@ class HybridZonotope:
         object.__setattr__(self, "Ac", Ac)
         object.__setattr__(self, "Ab", Ab)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_empty", None)
         object.__setattr__(self, "_leaves", None)
 
     def __setattr__(self, name, value):
@@ -150,20 +139,6 @@ class HybridZonotope:
     def from_point(cls, x) -> "HybridZonotope":
         x = np.asarray(x, dtype=float).reshape(-1)
         return cls(c=x)
-
-    # -- factor evaluation -------------------------------------------------
-
-    def point_of(self, factor: FactorPoint) -> np.ndarray:
-        """Map a factor assignment through the generators."""
-        if factor.xi_c.size != self.n_g or factor.xi_b.size != self.n_b:
-            raise ValueError("factor point has wrong arity")
-        return self.Gc @ factor.xi_c + self.Gb @ factor.xi_b + self.c
-
-    def constraint_residual(self, factor: FactorPoint) -> float:
-        if self.n_c == 0:
-            return 0.0
-        r = self.Ac @ factor.xi_c + self.Ab @ factor.xi_b - self.b
-        return float(np.max(np.abs(r)))
 
     # -- affine operations ---------------------------------------------
 
@@ -274,9 +249,9 @@ class HybridZonotope:
 
     # -- optimization-backed queries -----------------------------------
 
-    def _milp(self, objective: np.ndarray, extra_rows: np.ndarray | None = None,
-              extra_rhs: np.ndarray | None = None, slack: float = 0.0) -> MilpProblem:
-        """Assemble the factor-space MILP for this set.
+    def _milp(self, extra_rows: np.ndarray | None = None, extra_rhs: np.ndarray | None = None,
+              slack: float = 0.0) -> MilpProblem:
+        """Assemble the factor-space feasibility MILP (zero cost) for this set.
 
         Variables are [xc, xb] plus, when ``slack`` > 0, one bounded residual
         variable per equality row so that rows only need to hold within the
@@ -291,38 +266,28 @@ class HybridZonotope:
         nv = self.n_g + self.n_b
         lb = -np.ones(nv)
         ub = np.ones(nv)
-        c = np.asarray(objective, dtype=float)
         if slack > 0.0 and n_rows:
             A = np.hstack([A, np.eye(n_rows)])
             lb = np.concatenate([lb, -slack * np.ones(n_rows)])
             ub = np.concatenate([ub, slack * np.ones(n_rows)])
-            c = np.concatenate([c, np.zeros(n_rows)])
         binaries = tuple(range(self.n_g, self.n_g + self.n_b))
-        return MilpProblem(LpProblem(c, A, rhs, lb, ub), binaries)
+        return MilpProblem(LpProblem(np.zeros(lb.size), A, rhs, lb, ub), binaries)
 
-    def _minimize(self, objective: np.ndarray) -> SolveResult:
-        """Minimum of objective @ [xc, xb] over the factors, by branch-and-bound."""
-        return _exact_first(lambda slack: milp_solve(self._milp(objective, slack=slack)))
+    def _enumerate(self, p: MilpProblem, limit: int = 100_000) -> list[np.ndarray]:
+        """``enumerate_binary_leaves(p)``, naming this set in its errors."""
+        try:
+            return enumerate_binary_leaves(p, limit=limit)
+        except RuntimeError as err:
+            raise RuntimeError(f"{self!r}: {err}") from err
 
     def is_empty(self) -> bool:
         """True iff no feasible factor assignment exists (within FEAS_TOL slack)."""
-        if self._empty is None:
-            if self.n_c == 0:
-                result = False
-            else:
-                p = self._milp(np.zeros(self.n_g + self.n_b), slack=FEAS_TOL)
-                result = not milp_solve(p, stop_at_first=True).is_optimal
-            object.__setattr__(self, "_empty", result)
-        return self._empty
+        return self.n_c > 0 and not self.feasible_binary_assignments()
 
-    def contains_point(self, x, tol: float | None = None, witness: bool = False):
-        """Membership of a point, decided as MILP feasibility.
-
-        True iff factors exist satisfying both the constraints and
-        Gc @ xc + Gb @ xb = x - c, each within infinity-norm ``tol``
-        (default FEAS_TOL).  With ``witness=True`` returns
-        (bool, FactorPoint | None).
-        """
+    def contains_point(self, x, tol: float | None = None) -> bool:
+        """Membership of a point: does some leaf admit factors satisfying both
+        the constraints and Gc @ xc + Gb @ xb = x - c, each row within
+        infinity-norm ``tol`` (default FEAS_TOL)?"""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError("point dimension mismatch")
@@ -331,18 +296,10 @@ class HybridZonotope:
         if tol <= 0:
             raise ValueError("tol must be positive")
         rows = np.hstack([self.Gc, self.Gb])
-        p = self._milp(np.zeros(self.n_g + self.n_b),
-                       extra_rows=rows, extra_rhs=x - self.c, slack=tol)
-        res = milp_solve(p, stop_at_first=True)
-        if not witness:
-            return res.is_optimal
-        if not res.is_optimal:
-            return False, None
-        fp = FactorPoint(res.x[:self.n_g], res.x[self.n_g:self.n_g + self.n_b])
-        return True, fp
+        return bool(self._enumerate(self._milp(rows, x - self.c, slack=tol)))
 
     def support(self, d) -> float:
-        """max over the set of d @ x, exact via branch-and-bound.
+        """max over the set of d @ x: the largest fiber LP over the leaves.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -350,34 +307,33 @@ class HybridZonotope:
         d = np.asarray(d, dtype=float).reshape(-1)
         if d.size != self.dim:
             raise ValueError("direction dimension mismatch")
-        obj = -np.concatenate([d @ self.Gc, d @ self.Gb])
-        res = self._minimize(obj)
-        if not res.is_optimal:
+        low = FiberLp(self).minimum(-np.concatenate([d @ self.Gc, d @ self.Gb]))
+        if low is None:
             raise EmptySetError("support of an empty set")
-        return float(-res.objective + d @ self.c)
+        return float(-low + d @ self.c)
 
     def interval_hull(self, mode: str = "exact") -> IntervalVector:
         """Smallest axis-aligned box containing the set.
 
-        ``exact`` solves one minimization and one maximization per coordinate;
-        ``generator_relaxed`` ignores the constraints and returns
-        c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset.
+        ``exact`` minimizes and maximizes each coordinate over the leaves, in
+        one ``FiberLp``; ``generator_relaxed`` ignores the constraints and
+        returns c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset.
         """
         if mode == "generator_relaxed":
             rad = np.abs(self.Gc) @ np.ones(self.n_g) + np.abs(self.Gb) @ np.ones(self.n_b)
             return IntervalVector(self.c - rad, self.c + rad)
         if mode != "exact":
             raise ValueError(f"unknown hull mode: {mode!r}")
+        fibers = FiberLp(self)
         lower = np.empty(self.dim)
         upper = np.empty(self.dim)
         for i in range(self.dim):
             row = np.concatenate([self.Gc[i], self.Gb[i]])
-            lo = self._minimize(row)
-            if not lo.is_optimal:
+            lo = fibers.minimum(row)
+            if lo is None:
                 raise EmptySetError("interval hull of an empty set")
-            hi = self._minimize(-row)
-            lower[i] = lo.objective + self.c[i]
-            upper[i] = -hi.objective + self.c[i]
+            lower[i] = lo + self.c[i]
+            upper[i] = -fibers.minimum(-row) + self.c[i]
         return IntervalVector(np.minimum(lower, upper), np.maximum(lower, upper))
 
     def feasible_binary_assignments(self, limit: int = 100_000) -> list[np.ndarray]:
@@ -385,23 +341,26 @@ class HybridZonotope:
 
         The enumeration runs once per set; later calls return the cached,
         read-only assignments.
+
+        Raises:
+            RuntimeError: if the set has more than ``limit`` leaves.
         """
         if self._leaves is None:
-            p = self._milp(np.zeros(self.n_g + self.n_b), slack=FEAS_TOL)
-            leaves = enumerate_binary_leaves(p, limit=limit)
+            leaves = self._enumerate(self._milp(slack=FEAS_TOL), limit)
             for xb in leaves:
                 xb.setflags(write=False)
             object.__setattr__(self, "_leaves", tuple(leaves))
         if len(self._leaves) > limit:
-            raise RuntimeError(f"more than {limit} feasible binary assignments")
+            raise RuntimeError(f"{self!r}: more than {limit} feasible binary assignments "
+                               f"({len(self._leaves)} found)")
         return list(self._leaves)
 
     def sample_points(self, k: int, seed: int) -> np.ndarray:
         """k member points, deterministic for a fixed seed, shape (k, dim).
 
-        Feasible binary assignments are enumerated by branch-and-bound; for
-        each draw, the continuous factors solve an LP with a random objective
-        so samples land on vertices of the chosen fiber.
+        Each draw picks one of the cached leaves at random, and the
+        continuous factors solve that fiber's LP with a random objective, so
+        samples land on vertices of the chosen fiber.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -464,7 +423,7 @@ class HybridZonotope:
 
 
 class FiberLp:
-    """Cost minimization over the continuous factors of one binary fiber.
+    """Cost minimization over the factors of one binary fiber, or of all.
 
     The fiber of a binary assignment xb is the constrained zonotope left when
     the binaries are fixed to xb.  One LpSession per row slack over the set's
@@ -495,15 +454,31 @@ class FiberLp:
             xc = res.x[:hz.n_g]
         return hz.Gc @ xc + hz.Gb @ xb + hz.c
 
+    def minimum(self, cost: np.ndarray) -> float | None:
+        """min of cost @ [xc, xb] over the set, None if it is empty.
+
+        The least fiber LP over the cached leaves.  Rows are held exactly
+        wherever some leaf allows it, and leaves feasible only within
+        FEAS_TOL then do not count (``_exact_first`` over all leaves).
+        """
+        hz = self.hz
+        if hz.n_c == 0:  # 2^n_b leaves, each a box: the optimum is closed form
+            return float(cost @ np.where(cost > 0, -1.0, 1.0))
+        leaves = hz.feasible_binary_assignments()
+        res = _exact_first(lambda slack: least(self._solve(slack, xb, cost) for xb in leaves))
+        return res.objective if res.is_optimal else None
+
     def _solve(self, slack: float, xb: np.ndarray, cost: np.ndarray) -> SolveResult:
+        """The LP of fiber ``xb`` at row ``slack`` under ``cost`` over its
+        leading factors (xc, or [xc, xb])."""
         hz = self.hz
         if slack not in self._sessions:
-            p = hz._milp(np.zeros(hz.n_g + hz.n_b), slack=slack).lp
+            p = hz._milp(slack=slack).lp
             self._sessions[slack] = (LpSession(p), p)
         session, p = self._sessions[slack]
         lb, ub = p.lb.copy(), p.ub.copy()
         lb[hz.n_g:hz.n_g + hz.n_b] = ub[hz.n_g:hz.n_g + hz.n_b] = xb
-        return session.solve(np.concatenate([cost, np.zeros(p.num_vars - hz.n_g)]), lb, ub)
+        return session.solve(np.concatenate([cost, np.zeros(p.num_vars - cost.size)]), lb, ub)
 
 
 def _exact_first(solve) -> SolveResult:

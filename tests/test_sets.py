@@ -1,12 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, FactorPoint,
-                     HybridZonotope, PrefixMismatchError)
+from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
+                     PrefixMismatchError)
 
 from hzreach.projection import emit_projection
 
@@ -35,16 +36,10 @@ def test_affine_row_selector_keeps_first_coordinate():
     Z = random_hz(rng, dim=3, n_g=4, n_b=2, n_c=2)
     sel = Z.affine_map(np.array([[1.0, 0.0, 0.0]]))
     for k in range(100):
-        fp = _random_factor(rng, Z)
-        assert sel.point_of(fp)[0] == pytest.approx(Z.point_of(fp)[0], abs=1e-12)
-
-
-def _random_factor(rng, Z):
-    """Feasible factor point of a witness-constructed HZ (solve for a sample)."""
-    pts = Z.sample_points(1, int(rng.integers(1 << 30)))
-    ok, fp = Z.contains_point(pts[0], 1e-9, witness=True)
-    assert ok
-    return fp
+        xc = rng.uniform(-1, 1, size=Z.n_g)
+        xb = rng.choice([-1.0, 1.0], size=Z.n_b)
+        x = Z.Gc @ xc + Z.Gb @ xb + Z.c
+        assert (sel.Gc @ xc + sel.Gb @ xb + sel.c)[0] == pytest.approx(x[0], abs=1e-12)
 
 
 def test_affine_composition_supports_agree():
@@ -347,15 +342,43 @@ def test_binary_leaves_enumerated_once_per_set(monkeypatch):
     real = sets_mod.enumerate_binary_leaves
     monkeypatch.setattr(sets_mod, "enumerate_binary_leaves",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    Z = HybridZonotope(Gc=0.2 * np.eye(2), Gb=[[1.0], [0.0]], c=[0.0, 0.0])
+    # two squares side by side, each cut to x_0 >= xb - 0.1 by xc_0 + xc_2 = 0.5
+    Z = HybridZonotope(Gc=[[0.2, 0.0, 0.0], [0.0, 0.2, 0.0]], Gb=[[1.0], [0.0]],
+                       c=[0.0, 0.0], Ac=[[1.0, 0.0, 1.0]], Ab=[[0.0]], b=[0.5])
     Z.sample_points(10, 0)
     assert len(emit_projection(Z, (0, 1), 8)) == 2
+    assert not Z.is_empty()
+    assert Z.support([1.0, 0.0]) == pytest.approx(1.2, abs=1e-9)
+    hull = Z.interval_hull("exact")
+    assert np.allclose([hull.lower[0], hull.upper[0]], [-1.1, 1.2], atol=1e-9)
     leaves = Z.feasible_binary_assignments()
     assert len(calls) == 1 and len(leaves) == 2
     with pytest.raises(ValueError):
         leaves[0][0] = 1.0
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"n_g=3, n_b=1, n_c=1.*\(2 found\)"):
         Z.feasible_binary_assignments(limit=1)
+
+
+def test_leaf_cap_fails_fast_naming_the_set():
+    # 2^14 leaves, all feasible: the cap stops the enumeration after 51
+    Z = HybridZonotope(Gc=[[1.0]], Gb=np.ones((1, 14)), c=[0.0],
+                       Ac=[[1.0]], Ab=np.zeros((1, 14)), b=[0.0])
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"n_g=1, n_b=14, n_c=1.*stopped at 51"):
+        Z.feasible_binary_assignments(limit=50)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_support_and_hull_ignore_leaf_feasible_only_within_tolerance():
+    # leaf xb = -1 holds its row exactly at x = -1 - 5e-8; leaf xb = +1 only
+    # within FEAS_TOL, at x = 1.  Rows are held exactly over the whole set
+    # first, so the grazing leaf, which is larger, must not count.
+    Z = HybridZonotope(Gc=[[1.0]], Gb=[[2.0]], c=[0.0], Ac=[[1.0]], Ab=[[1.0]], b=[-5e-8])
+    assert len(Z.feasible_binary_assignments()) == 2
+    assert Z.support([1.0]) == pytest.approx(-1.0 - 5e-8, abs=1e-12)
+    hull = Z.interval_hull("exact")
+    assert hull.upper[0] == pytest.approx(-1.0 - 5e-8, abs=1e-12)
+    assert hull.lower[0] == pytest.approx(-1.0 - 5e-8, abs=1e-12)
 
 
 def test_samples_deterministic_for_seed():
@@ -413,12 +436,3 @@ def test_immutability():
     with pytest.raises(ValueError):
         Z.Gc[0, 0] = 5.0
 
-
-def test_factor_point_round_trip():
-    rng = np.random.default_rng(23)
-    Z = random_hz(rng, dim=2, n_g=3, n_b=2, n_c=1)
-    p = Z.sample_points(1, 3)[0]
-    ok, fp = Z.contains_point(p, 1e-9, witness=True)
-    assert ok and isinstance(fp, FactorPoint)
-    assert np.allclose(Z.point_of(fp), p, atol=1e-8)
-    assert Z.constraint_residual(fp) <= 1e-8
