@@ -13,13 +13,16 @@ pinned LP over those leaves (``milp_solve``).
 Within one query the constraint rows never change, only the costs (samples,
 support and projection directions) or the column bounds (search nodes,
 pinned binaries).  ``LpSession`` therefore passes the model to HiGHS
-once and re-solves it warm from the last basis.  ``lp_solve`` is the one-shot
-solver through ``scipy.optimize.linprog`` and the reference that sessions
-are tested against.
+once and re-solves it warm from the last basis, with the simplex variant
+that keeps that basis feasible: primal after a change of costs only, dual
+after a change of bounds.  ``lp_solve`` is the one-shot solver through
+``scipy.optimize.linprog`` and the reference that sessions are tested
+against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,21 +143,30 @@ def lp_solve(p: LpProblem) -> SolveResult:
     raise RuntimeError(f"LP solver failure (HiGHS status {res.status}): {res.message}")
 
 
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4  # HiGHS simplex_strategy values
+
+
 class LpSession:
     """One LP held in HiGHS and re-solved warm as its costs or bounds change.
 
     The rows ``A @ x = b`` are passed to HiGHS once, as a sparse column-wise
     matrix.  Each ``solve`` changes only the costs and column bounds it is
-    given, and HiGHS restarts the simplex from the previous basis.  Options
-    and the clipping of solutions to the bounds are those of ``lp_solve``;
-    two sessions given the same sequence of solves return identical results.
-    A session is not thread-safe: use one per query.
+    given, and HiGHS restarts the simplex from the previous basis.  A solve
+    that changed no bound after an optimal run uses primal simplex, since
+    the old basis is still primal feasible; every other solve uses dual
+    simplex, as ``lp_solve`` does, since a bound change leaves the basis
+    dual feasible.  Options and the clipping of solutions to the bounds are
+    those of ``lp_solve``; two sessions given the same sequence of solves
+    return identical results.  A session is not thread-safe: use one per
+    query.
     """
 
     def __init__(self, p: LpProblem):
         self._p = p
         self._c, self._lb, self._ub = p.c, p.lb, p.ub
         self._highs = None
+        self._strategy = _DUAL_SIMPLEX
+        self._optimal = False  # did the last run end optimal?
         n = p.num_vars
         if n == 0:
             return
@@ -171,7 +183,7 @@ class LpSession:
         lp.row_lower_ = lp.row_upper_ = p.b
         h = _highs._Highs()
         options = dict(_HIGHS_OPTIONS, presolve="on" if _HIGHS_OPTIONS["presolve"] else "off",
-                       output_flag=False, simplex_strategy=1)  # dual simplex, as linprog
+                       output_flag=False, simplex_strategy=self._strategy)
         for key, value in options.items():
             if h.setOptionValue(key, value) != _highs.HighsStatus.kOk:
                 raise RuntimeError(f"HiGHS rejected option {key}={value!r}")
@@ -187,19 +199,26 @@ class LpSession:
             if h is not None and not np.array_equal(c, self._c):
                 h.changeColsCost(c.size, self._cols, c)
             self._c = c
+        bounds_changed = False
         if lb is not None or ub is not None:
             lb = self._lb if lb is None else np.array(lb, dtype=float)
             ub = self._ub if ub is None else np.array(ub, dtype=float)
-            if h is not None and not (np.array_equal(lb, self._lb)
-                                      and np.array_equal(ub, self._ub)):
+            bounds_changed = not (np.array_equal(lb, self._lb) and np.array_equal(ub, self._ub))
+            if h is not None and bounds_changed:
                 h.changeColsBounds(lb.size, self._cols, lb, ub)
             self._lb, self._ub = lb, ub
         if h is None:
             return _no_variables(self._p)
+        strategy = _PRIMAL_SIMPLEX if self._optimal and not bounds_changed else _DUAL_SIMPLEX
+        if strategy != self._strategy:
+            if h.setOptionValue("simplex_strategy", strategy) != _highs.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option simplex_strategy={strategy}")
+            self._strategy = strategy
         if h.run() == _highs.HighsStatus.kError:
             raise RuntimeError("LP solver failure (HiGHS run error)")
         status = h.getModelStatus()
-        if status == _highs.HighsModelStatus.kOptimal:
+        self._optimal = status == _highs.HighsModelStatus.kOptimal
+        if self._optimal:
             x = np.clip(np.asarray(h.getSolution().col_value), self._lb, self._ub)
             return SolveResult(SolveStatus.OPTIMAL, x, float(self._c @ x))
         if status == _highs.HighsModelStatus.kInfeasible:
@@ -226,22 +245,28 @@ def milp_solve(p: MilpProblem) -> SolveResult:
     satisfies the constraints to LP tolerance.
     """
     session = LpSession(p.lp)
-    cols = list(p.binary_index)
-
-    def pinned(xb: np.ndarray) -> SolveResult:
-        lb, ub = p.lp.lb.copy(), p.lp.ub.copy()
-        lb[cols] = ub[cols] = xb
-        return session.solve(lb=lb, ub=ub)
-
-    return least(pinned(xb) for xb in enumerate_binary_leaves(p))
+    return least(session.solve(p.lp.c, *pinned_bounds(p, xb))
+                 for xb in enumerate_binary_leaves(p))
 
 
-def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000) -> list[np.ndarray]:
+def pinned_bounds(p: MilpProblem, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column bounds of ``p`` with its binaries fixed to the values ``xb``."""
+    lb, ub = p.lp.lb.copy(), p.lp.ub.copy()
+    lb[list(p.binary_index)] = ub[list(p.binary_index)] = xb
+    return lb, ub
+
+
+def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000,
+                            candidates: Sequence[np.ndarray] | None = None
+                            ) -> list[np.ndarray]:
     """All complete {-1,+1} assignments whose fixed-binary LP is feasible.
 
     Depth-first in index order with the -1 branch first, pruning subtrees
     whose LP relaxation is already infeasible; the returned order is
-    deterministic.  The objective of ``p`` is ignored.
+    deterministic.  The objective of ``p`` is ignored.  Given
+    ``candidates``, complete assignments in that search order known to
+    include every feasible one, the search starts from them instead of the
+    root: one pinned LP each, with the same order of the leaves found.
 
     Raises:
         RuntimeError: once more than ``limit`` leaves are found, so work on a
@@ -249,7 +274,10 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000) -> list[np.nda
     """
     binaries = p.binary_index
     leaves: list[np.ndarray] = []
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(p.lp.lb.copy(), p.lp.ub.copy())]
+    if candidates is None:
+        stack = [(p.lp.lb.copy(), p.lp.ub.copy())]
+    else:
+        stack = [pinned_bounds(p, xb) for xb in reversed(candidates)]
     session = LpSession(LpProblem(np.zeros(p.lp.num_vars), p.lp.A, p.lp.b,
                                   p.lp.lb, p.lp.ub))
     while stack:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptySetError, PrefixMismatchError
 from .intervals import IntervalVector
 from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
-                 least)
+                 least, pinned_bounds)
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
 # all feasibility decisions (emptiness, membership); support, exact hulls and
@@ -71,7 +71,7 @@ class HybridZonotope:
             None for all three means an unconstrained set.
     """
 
-    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_leaves")
+    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_leaves", "_leaf_candidates")
 
     def __init__(self, Gc=None, Gb=None, c=None, Ac=None, Ab=None, b=None):
         c = np.array(c, dtype=float).reshape(-1)
@@ -94,6 +94,8 @@ class HybridZonotope:
         object.__setattr__(self, "Ab", Ab)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_leaves", None)
+        # cached leaves of another set that include all of this set's leaves
+        object.__setattr__(self, "_leaf_candidates", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridZonotope is immutable")
@@ -170,6 +172,11 @@ class HybridZonotope:
         constraints are stacked on top, then this set's constraints, then the
         coupling rows; factors of the second operand come first.  This
         ordering is what keeps later constrained products well defined.
+
+        When ``other`` has no binaries, the result's binaries are this set's,
+        in order, and its rows include this set's, so each of its leaves is
+        one of this set's; when those are cached, the result's leaf
+        enumeration tests only them.
         """
         if R is None:
             R = np.eye(self.dim)
@@ -190,7 +197,10 @@ class HybridZonotope:
             [-y.Gb, R @ z.Gb],
         ])
         b = np.concatenate([y.b, z.b, y.c - R @ z.c])
-        return HybridZonotope(Gc, Gb, z.c, Ac, Ab, b)
+        out = HybridZonotope(Gc, Gb, z.c, Ac, Ab, b)
+        if y.n_b == 0:
+            object.__setattr__(out, "_leaf_candidates", z._leaves)
+        return out
 
     def cartesian_product(self, other: "HybridZonotope") -> "HybridZonotope":
         """Block-diagonal stacking: {(z, y) : z in self, y in other}."""
@@ -273,10 +283,11 @@ class HybridZonotope:
         binaries = tuple(range(self.n_g, self.n_g + self.n_b))
         return MilpProblem(LpProblem(np.zeros(lb.size), A, rhs, lb, ub), binaries)
 
-    def _enumerate(self, p: MilpProblem, limit: int = 100_000) -> list[np.ndarray]:
-        """``enumerate_binary_leaves(p)``, naming this set in its errors."""
+    def _enumerate(self, p: MilpProblem, limit: int = 100_000,
+                   candidates: tuple | None = None) -> list[np.ndarray]:
+        """``enumerate_binary_leaves``, naming this set in its errors."""
         try:
-            return enumerate_binary_leaves(p, limit=limit)
+            return enumerate_binary_leaves(p, limit, candidates)
         except RuntimeError as err:
             raise RuntimeError(f"{self!r}: {err}") from err
 
@@ -340,13 +351,15 @@ class HybridZonotope:
         """All {-1,+1} assignments of the binary factors admitting feasible xc.
 
         The enumeration runs once per set; later calls return the cached,
-        read-only assignments.
+        read-only assignments.  A set from ``generalized_intersect`` with a
+        binary-free operand tests only the cached leaves of the other one.
 
         Raises:
             RuntimeError: if the set has more than ``limit`` leaves.
         """
         if self._leaves is None:
-            leaves = self._enumerate(self._milp(slack=FEAS_TOL), limit)
+            leaves = self._enumerate(self._milp(slack=FEAS_TOL), limit,
+                                     self._leaf_candidates)
             for xb in leaves:
                 xb.setflags(write=False)
             object.__setattr__(self, "_leaves", tuple(leaves))
@@ -360,7 +373,9 @@ class HybridZonotope:
 
         Each draw picks one of the cached leaves at random, and the
         continuous factors solve that fiber's LP with a random objective, so
-        samples land on vertices of the chosen fiber.
+        samples land on vertices of the chosen fiber.  All draws are made
+        first and then solved grouped by leaf, so that within a leaf the warm
+        re-solves change only costs; row j is still the j-th draw's point.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -369,11 +384,13 @@ class HybridZonotope:
         if not assignments:
             raise EmptySetError("cannot sample an empty set")
         rng = np.random.default_rng(seed)
+        draws = [(int(rng.integers(len(assignments))), rng.standard_normal(self.n_g))
+                 for _ in range(k)]
         fibers = FiberLp(self)
         out = np.empty((k, self.dim))
-        for j in range(k):
-            xb = assignments[int(rng.integers(len(assignments)))]
-            out[j] = fibers.point(xb, rng.standard_normal(self.n_g))
+        for j in sorted(range(k), key=lambda j: draws[j][0]):  # stable: draw order per leaf
+            leaf, cost = draws[j]
+            out[j] = fibers.point(assignments[leaf], cost)
         return out
 
     # -- serialization -------------------------------------------------
@@ -428,13 +445,15 @@ class FiberLp:
     The fiber of a binary assignment xb is the constrained zonotope left when
     the binaries are fixed to xb.  One LpSession per row slack over the set's
     factor space serves every fiber and cost of a query: a fiber's binaries
-    are pinned through column bounds.  The session with the FEAS_TOL
-    residual columns is built only for a set with a fiber that needs it.
+    are pinned through column bounds, which change only when the fiber
+    does.  The session with the FEAS_TOL residual columns is built only for a
+    set with a fiber that needs it.
     """
 
     def __init__(self, hz: HybridZonotope):
         self.hz = hz
-        self._sessions: dict = {}  # row slack -> (LpSession, LpProblem)
+        self._sessions: dict = {}  # row slack -> (LpSession, MilpProblem)
+        self._pinned: dict = {}  # row slack -> the fiber its session has pinned
 
     def point(self, xb: np.ndarray, cost: np.ndarray) -> np.ndarray:
         """The member point of fiber ``xb`` whose factors xc minimize cost @ xc.
@@ -471,14 +490,16 @@ class FiberLp:
     def _solve(self, slack: float, xb: np.ndarray, cost: np.ndarray) -> SolveResult:
         """The LP of fiber ``xb`` at row ``slack`` under ``cost`` over its
         leading factors (xc, or [xc, xb])."""
-        hz = self.hz
         if slack not in self._sessions:
-            p = hz._milp(slack=slack).lp
-            self._sessions[slack] = (LpSession(p), p)
+            p = self.hz._milp(slack=slack)
+            self._sessions[slack] = (LpSession(p.lp), p)
         session, p = self._sessions[slack]
-        lb, ub = p.lb.copy(), p.ub.copy()
-        lb[hz.n_g:hz.n_g + hz.n_b] = ub[hz.n_g:hz.n_g + hz.n_b] = xb
-        return session.solve(np.concatenate([cost, np.zeros(p.num_vars - cost.size)]), lb, ub)
+        c = np.concatenate([cost, np.zeros(p.lp.num_vars - cost.size)])
+        pinned = self._pinned.get(slack)
+        if pinned is not None and np.array_equal(pinned, xb):
+            return session.solve(c)
+        self._pinned[slack] = np.array(xb)  # copied: callers may reuse their arrays
+        return session.solve(c, *pinned_bounds(p, xb))
 
 
 def _exact_first(solve) -> SolveResult:

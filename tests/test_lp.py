@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hzreach import LpProblem, MilpProblem, SolveStatus, lp_solve, milp_solve
-from hzreach.lp import LpSession
+from hzreach.lp import LpSession, enumerate_binary_leaves
 
 from conftest import milp_by_enumeration
 
@@ -95,6 +97,11 @@ def test_milp_matches_enumeration_oracle():
         res = milp_solve(p)
         status, obj, _ = milp_by_enumeration(p)
         statuses.append(status)
+        # started from every assignment, in search order, the search finds
+        # the same leaves in the same order
+        every = [np.array(xb) for xb in itertools.product((-1.0, 1.0), repeat=nb)]
+        assert ([xb.tolist() for xb in enumerate_binary_leaves(p, candidates=every)]
+                == [xb.tolist() for xb in enumerate_binary_leaves(p)])
         assert res.status is status
         if status is SolveStatus.OPTIMAL:
             assert res.objective == pytest.approx(obj, abs=1e-7)
@@ -155,12 +162,16 @@ def test_session_matches_lp_solve_over_cost_changes():
 
 
 def test_session_matches_lp_solve_over_bound_changes():
+    # each bound change (dual simplex) is followed by cost-only steps, which
+    # re-solve by primal simplex after an optimal run and by dual simplex
+    # after an infeasible one
     rng = np.random.default_rng(32)
     n, m = 7, 3
     A, b = _sparse_feasible(rng, n, m)
     c = rng.normal(size=n)
     session = LpSession(LpProblem(c, A, b, -np.ones(n), np.ones(n)))
     statuses = []
+    cost_only_after = []
     for step in range(60):
         lb, ub = -np.ones(n), np.ones(n)
         if step % 3:  # pin some entries to a vertex value; often infeasible
@@ -168,16 +179,22 @@ def test_session_matches_lp_solve_over_bound_changes():
             lb[pins] = ub[pins] = rng.choice([-1.0, 1.0], size=pins.size)
         if step % 5 == 0:
             c = rng.normal(size=n)
-        ref = lp_solve(LpProblem(c, A, b, lb, ub))
-        got = session.solve(c, lb, ub)
-        assert got.status is ref.status
-        if ref.is_optimal:
-            assert got.objective == pytest.approx(ref.objective, abs=1e-9)
-            assert np.all(got.x >= lb) and np.all(got.x <= ub)
-        statuses.append(ref.status)
+        steps = [(c, lb, ub)] + [(rng.normal(size=n), None, None)
+                                 for _ in range(int(rng.integers(0, 3)))]
+        for k, (cost, lb_k, ub_k) in enumerate(steps):
+            ref = lp_solve(LpProblem(cost, A, b, lb, ub))
+            got = session.solve(cost, lb_k, ub_k)
+            assert got.status is ref.status
+            if ref.is_optimal:
+                assert got.objective == pytest.approx(ref.objective, abs=1e-9)
+                assert np.all(got.x >= lb) and np.all(got.x <= ub)
+            if k:
+                cost_only_after.append(statuses[-1])
+            statuses.append(ref.status)
     pairs = set(zip(statuses, statuses[1:]))
     assert (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE) in pairs
     assert (SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL) in pairs
+    assert set(cost_only_after) == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
 
 
 def test_session_without_rows_or_variables():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hzreach import (ComplexityRecord, EmptyDomainError, HybridZonotope,
                      IntervalVector, ReluLabel, brs, exact_plan, frs,
                      predict_complexity, predicted_for_step,
                      propagate_intervals, rank_unstable, simulate, state_pairs)
 from hzreach.bounds import BoundsTable
+from hzreach.verify import WITNESS_TOL
 
 from conftest import box, flip_system, grid_points, random_system, unit_directions
 
@@ -205,6 +208,40 @@ def test_exact_pair_sets_on_random_systems():
             for x1 in grid_points(hull.lower, hull.upper, 9):
                 traj = simulate(m, x1, t)
                 assert S.contains_point(np.concatenate([x1, traj.states[t - 1]]), 1e-6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
+    # exact plan: simulated states of sampled initial states are members of
+    # FRS_t, and every sample of a seed set simulates into the target
+    rng = np.random.default_rng(seed)
+    m, X = random_system(rng, n=2)
+    T = 3
+    tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
+    series = state_pairs(m, X, T, exact_plan(tbl), table=tbl)
+    hull = X.interval_hull("exact")
+    span = hull.upper - hull.lower
+    lo, hi = hull.lower + 0.2 * span, hull.lower + 0.7 * span
+    X1 = box(lo, hi)
+    starts = rng.uniform(lo, hi, size=(6, 2))
+    for t in range(2, T + 1):
+        R = frs(series, X1, t)
+        for x1 in starts:
+            assert R.contains_point(simulate(m, x1, t).states[t - 1], WITNESS_TOL)
+    end = simulate(m, starts[0], T).states[T - 1]
+    target = box(end - 0.02, end + 0.02)
+    back = brs(series, target, T)
+    assert not back.is_empty()
+    seed_set = back.generalized_intersect(X1)  # searches only back's leaves
+    fresh = HybridZonotope(seed_set.Gc, seed_set.Gb, seed_set.c,
+                           seed_set.Ac, seed_set.Ab, seed_set.b)
+    leaves = seed_set.feasible_binary_assignments()
+    assert [xb.tolist() for xb in leaves] == [
+        xb.tolist() for xb in fresh.feasible_binary_assignments()]
+    assert leaves
+    for x1 in seed_set.sample_points(12, seed % 1000):
+        assert target.contains_point(simulate(m, x1, T).states[T - 1], WITNESS_TOL)
 
 
 def test_relaxed_pair_sets_contain_trajectories():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
-                     PrefixMismatchError)
+                     LpProblem, PrefixMismatchError, lp_solve)
 
 from hzreach.projection import emit_projection
 
@@ -385,6 +385,27 @@ def test_samples_deterministic_for_seed():
     rng = np.random.default_rng(20)
     Z = random_hz(rng, dim=2, n_g=4, n_b=2, n_c=2)
     assert np.array_equal(Z.sample_points(10, 5), Z.sample_points(10, 5))
+
+
+def test_samples_follow_draw_order_of_one_shot_reference():
+    # draws are solved grouped by leaf; row j must still be the j-th draw
+    # (a leaf, then a cost) solved on its own
+    Z = random_hz(np.random.default_rng(23), dim=2, n_g=4, n_b=3, n_c=1)
+    leaves = Z.feasible_binary_assignments()
+    assert len(leaves) >= 3
+    k, seed = 40, 9
+    rng = np.random.default_rng(seed)
+    ref = np.empty((k, Z.dim))
+    ones = np.ones(Z.n_g)
+    for j in range(k):
+        xb = leaves[int(rng.integers(len(leaves)))]
+        cost = rng.standard_normal(Z.n_g)
+        res = lp_solve(LpProblem(cost, Z.Ac, Z.b - Z.Ab @ xb, -ones, ones))
+        assert res.is_optimal
+        ref[j] = Z.Gc @ res.x + Z.Gb @ xb + Z.c
+    # points differ within a leaf, so a reordering of its rows shows
+    assert len({tuple(row) for row in np.round(ref, 6)}) > len(leaves)
+    assert np.max(np.abs(Z.sample_points(k, seed) - ref)) <= 1e-9
 
 
 # -- soundness of the intersection identity -----------------------------------
