@@ -184,12 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-T", type=int, required=True, help="horizon (>= 2)")
         p.add_argument("--nb", type=int, default=None,
                        help="binary limit (default: no relaxation)")
-        p.add_argument("--hull", choices=("table", "relaxed", "exact"),
+        p.add_argument("--hull", choices=("table", "exact"),
                        default="table", help="interval source for ReLU stages")
         p.add_argument("--dims", type=_dims, default=(0, 1),
                        help="coordinate pair for projections, e.g. 0,1")
         p.add_argument("--dirs", type=int, default=64,
-                       help="support directions per projection polygon")
+                       help="starting directions of each projection polygon")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -209,6 +209,8 @@ def main(argv=None) -> int:
             raise ValueError("horizon -T must be at least 2")
         if args.nb is not None and args.nb < 0:
             raise ValueError("--nb must be nonnegative")
+        if args.dirs < 3:
+            raise ValueError("--dirs must be at least 3")
         if args.command == "forward":
             return cmd_forward(args)
         if args.command == "backward":

@@ -144,6 +144,7 @@ def lp_solve(p: LpProblem) -> SolveResult:
 
 
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4  # HiGHS simplex_strategy values
+_SETTLED = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasible)
 
 
 class LpSession:
@@ -155,9 +156,11 @@ class LpSession:
     that changed no bound after an optimal run uses primal simplex, since
     the old basis is still primal feasible; every other solve uses dual
     simplex, as ``lp_solve`` does, since a bound change leaves the basis
-    dual feasible.  Options and the clipping of solutions to the bounds are
-    those of ``lp_solve``; two sessions given the same sequence of solves
-    return identical results.  A session is not thread-safe: use one per
+    dual feasible.  A primal re-solve that ends neither optimal nor
+    infeasible (HiGHS can stall on degenerate fibers) is run again by dual
+    simplex from a cold start.  Options and the clipping of solutions to the
+    bounds are those of ``lp_solve``; two sessions given the same sequence
+    of solves return identical results.  A session is not thread-safe: use one per
     query.
     """
 
@@ -209,14 +212,11 @@ class LpSession:
             self._lb, self._ub = lb, ub
         if h is None:
             return _no_variables(self._p)
-        strategy = _PRIMAL_SIMPLEX if self._optimal and not bounds_changed else _DUAL_SIMPLEX
-        if strategy != self._strategy:
-            if h.setOptionValue("simplex_strategy", strategy) != _highs.HighsStatus.kOk:
-                raise RuntimeError(f"HiGHS rejected option simplex_strategy={strategy}")
-            self._strategy = strategy
-        if h.run() == _highs.HighsStatus.kError:
-            raise RuntimeError("LP solver failure (HiGHS run error)")
-        status = h.getModelStatus()
+        primal = self._optimal and not bounds_changed
+        status = self._run(_PRIMAL_SIMPLEX if primal else _DUAL_SIMPLEX)
+        if primal and status not in _SETTLED:  # a stalled primal re-solve is redone by dual
+            h.clearSolver()
+            status = self._run(_DUAL_SIMPLEX)
         self._optimal = status == _highs.HighsModelStatus.kOptimal
         if self._optimal:
             x = np.clip(np.asarray(h.getSolution().col_value), self._lb, self._ub)
@@ -225,6 +225,17 @@ class LpSession:
             return SolveResult(SolveStatus.INFEASIBLE)
         raise RuntimeError(f"LP solver failure (HiGHS model status "
                            f"{h.modelStatusToString(status)})")
+
+    def _run(self, strategy: int):
+        """Run HiGHS with the given simplex variant; its model status."""
+        h = self._highs
+        if strategy != self._strategy:
+            if h.setOptionValue("simplex_strategy", strategy) != _highs.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option simplex_strategy={strategy}")
+            self._strategy = strategy
+        if h.run() == _highs.HighsStatus.kError:
+            raise RuntimeError("LP solver failure (HiGHS run error)")
+        return h.getModelStatus()
 
 
 def least(results) -> SolveResult:

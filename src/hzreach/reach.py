@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsTable, count_unstable, propagate_intervals
+from .bounds import BoundsTable, count_unstable
 from .errors import EmptyDomainError
 from .model import ClosedLoopRnn
 from .relu import NeuronInterval, ReluLabel, relu_layer_graph
@@ -132,8 +132,6 @@ def _stage(Z: HybridZonotope, t: int, layer: int, plan_labels: dict,
     """Intervals and labels for one ReLU stage of the pipeline."""
     if hull_mode == "table":
         iv = table.interval_for(t, layer)
-    elif hull_mode == "relaxed":
-        iv = Z.interval_hull("generator_relaxed")
     elif hull_mode == "exact":
         iv = Z.interval_hull("exact")
     else:
@@ -144,15 +142,15 @@ def _stage(Z: HybridZonotope, t: int, layer: int, plan_labels: dict,
 
 
 def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
-                plan: RelaxationPlan, hull_mode: str = "table",
-                table: BoundsTable | None = None) -> ReachSeries:
+                plan: RelaxationPlan, table: BoundsTable,
+                hull_mode: str = "table") -> ReachSeries:
     """Propagate the domain once, collecting the pair set of every step.
 
     Step 1 maps the domain through each layer directly (all initial hidden
     states are zero); later steps couple h_{t-1}^(l) with h_t^(l-1) through a
     constrained product before the layer's linear map.  ReLU stages use the
     plan's labels with intervals from the bounds table (``hull_mode="table"``,
-    the default) or from per-set interval hulls ("relaxed"/"exact").  Every
+    the default) or from each stage set's exact interval hull ("exact").  Every
     constrained product's prefix condition is asserted, not assumed.
 
     Raises:
@@ -164,8 +162,6 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
         raise ValueError("domain dimension must equal the model state dimension")
     if X.is_empty():
         raise EmptyDomainError("state domain is empty")
-    if table is None:
-        table = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
     labels = plan.label_map()
     n = m.state_dim
     pairs: dict = {}

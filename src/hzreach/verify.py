@@ -104,37 +104,35 @@ def _initial_overlap(X1: HybridZonotope, unsafe: HybridZonotope, seed: int):
 
 
 def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
-                   T: int | None = None, seed: int = 0) -> SafetyVerdict:
+                   seed: int = 0) -> SafetyVerdict:
     """Forward safety condition on a series built from the initial set.
 
     Checks emptiness of FRS_t intersected with the unsafe region for
-    t = 2..T, which is empty exactly when the step-t BRS of the unsafe
-    region over this series is.  All empty means Safe.  Otherwise initial
-    states from that BRS are sampled and simulated; a confirmed trajectory
-    gives Unsafe with that witness, no confirmation gives Unknown.
+    t = 2..T, the series' horizon, which is empty exactly when the step-t
+    BRS of the unsafe region over this series is.  All empty means Safe.
+    Otherwise initial states from that BRS are sampled and simulated; a
+    confirmed trajectory gives Unsafe with that witness, no confirmation
+    gives Unknown.
     """
-    horizon = series.horizon if T is None else T
     early = _initial_overlap(series.domain, unsafe, seed)
     if early is not None:
         return early
-    candidates = {t: brs(series, unsafe, t) for t in range(2, horizon + 1)}
+    candidates = {t: brs(series, unsafe, t) for t in range(2, series.horizon + 1)}
     return _verdict(series, unsafe, candidates, seed)
 
 
 def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
-                    X1: HybridZonotope, T: int | None = None,
-                    seed: int = 0) -> SafetyVerdict:
+                    X1: HybridZonotope, seed: int = 0) -> SafetyVerdict:
     """Backward safety condition on a series built from the state domain.
 
-    Checks emptiness of BRS_t(unsafe) intersected with X1 for t = 2..T; on
-    exact plans the verdict agrees with the forward route.
+    Checks emptiness of BRS_t(unsafe) intersected with X1 for t = 2..T, the
+    series' horizon; on exact plans the verdict agrees with the forward route.
     """
-    horizon = series.horizon if T is None else T
     early = _initial_overlap(X1, unsafe, seed)
     if early is not None:
         return early
     candidates = {t: brs(series, unsafe, t).generalized_intersect(X1)
-                  for t in range(2, horizon + 1)}
+                  for t in range(2, series.horizon + 1)}
     return _verdict(series, unsafe, candidates, seed)
 
 

@@ -64,9 +64,9 @@ def test_flat_fibers_keep_their_polygons():
 
 
 def test_thin_fiber_polygon_has_few_vertices():
-    # a segment's polygon is re-cut with widened offsets; the end caps of
-    # that sliver are many vertices a fraction of the widening apart, which
-    # must collapse to the two corners at each end instead of all being kept
+    # a segment fiber: the support points of all 64 starting directions are
+    # its two end points, and every edge check finds nothing beyond, so the
+    # polygon is the segment itself, not a ring of near-duplicate points
     Z = HybridZonotope(Gc=[[0.016], [0.0]], c=[0.016, 0.0])
     (poly,) = emit_projection(Z, (0, 1), 64)
     assert len(poly) <= 4
@@ -95,6 +95,18 @@ def test_projection_rejects_equal_dims():
         emit_projection(box([0, 0], [1, 1]), (1, 1))
 
 
+def test_projection_rejects_fewer_than_three_directions(tmp_path, half_files):
+    # two opposite directions cannot tell a point from a segment across them
+    with pytest.raises(ValueError, match="at least 3"):
+        emit_projection(box([0, 0], [1, 1]), (0, 1), 2)
+    code = main(["forward", "--model", str(half_files / "model.json"),
+                 "--domain", str(half_files / "domain.json"),
+                 "--initial", str(half_files / "initial.json"),
+                 "-T", "2", "--dirs", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_polygon_supports_match_lp_supports():
     # in every queried direction the emitted polygon's support equals the
     # fiber's true support value, solved here by the one-shot reference LP
@@ -113,6 +125,34 @@ def test_polygon_supports_match_lp_supports():
                                      -np.ones(Z.n_g), np.ones(Z.n_g)))
             h = -res.objective + d @ (Z.Gb @ xb + Z.c)
             assert np.max(poly @ d) == pytest.approx(h, abs=1e-6)
+        # and from the inside: every vertex is a point of the fiber
+        fiber = HybridZonotope(Gc=Z.Gc, c=Z.c + Z.Gb @ xb, Ac=Z.Ac, b=Z.b - Z.Ab @ xb)
+        for v in poly:
+            assert fiber.contains_point(v, 1e-6)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("rows", [0, 1])
+def test_zonotope_projects_to_all_its_vertices(k, rows):
+    # a 2-D zonotope with 12 generators in general position has 24 vertices:
+    # c + sum_i sign(d @ g_i) g_i for d between consecutive generator normals.
+    # A few starting directions find only some of them; refinement must find
+    # the rest.  rows=1 adds a zero constraint row so the fiber point is an
+    # LP solution instead of the closed form.
+    rng = np.random.default_rng(11)
+    G = rng.normal(size=(2, 12))
+    c = rng.normal(size=2)
+    Z = HybridZonotope(Gc=G, c=c, Ac=np.zeros((rows, 12)), b=np.zeros(rows))
+    half = np.arctan2(G[0], -G[1]) % np.pi  # angle of each generator's normal
+    normals = np.sort(np.concatenate([half, half + np.pi]))
+    mids = (normals + np.append(normals[1:], normals[0] + 2 * np.pi)) / 2
+    dirs = np.column_stack([np.cos(mids), np.sin(mids)])
+    vertices = np.array([c + G @ np.sign(d @ G) for d in dirs])
+    (poly,) = emit_projection(Z, (0, 1), k)
+    assert len(poly) == 24
+    gaps = np.linalg.norm(poly[:, None, :] - vertices[None, :, :], axis=2)
+    assert np.max(np.min(gaps, axis=1)) <= 1e-9
+    assert np.max(np.min(gaps, axis=0)) <= 1e-9
 
 
 def test_cli_module_runs_as_subprocess(tmp_path):

@@ -213,8 +213,10 @@ def test_exact_pair_sets_on_random_systems():
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
-    # exact plan: simulated states of sampled initial states are members of
-    # FRS_t, and every sample of a seed set simulates into the target
+    # exact plan: simulated pairs (x_1, x_t) are members of the pair set and
+    # sampled pairs simulate to their second block; simulated states of
+    # sampled initial states are members of FRS_t, and every sample of a
+    # seed set simulates into the target
     rng = np.random.default_rng(seed)
     m, X = random_system(rng, n=2)
     T = 3
@@ -226,9 +228,15 @@ def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
     X1 = box(lo, hi)
     starts = rng.uniform(lo, hi, size=(6, 2))
     for t in range(2, T + 1):
+        S = series.pair_set(t)
         R = frs(series, X1, t)
         for x1 in starts:
-            assert R.contains_point(simulate(m, x1, t).states[t - 1], WITNESS_TOL)
+            x_t = simulate(m, x1, t).states[t - 1]
+            assert S.contains_point(np.concatenate([x1, x_t]), WITNESS_TOL)
+            assert R.contains_point(x_t, WITNESS_TOL)
+        for pair in S.sample_points(8, seed % 1000 + t):
+            x_t = simulate(m, pair[:2], t).states[t - 1]
+            assert np.max(np.abs(x_t - pair[2:])) <= WITNESS_TOL
     end = simulate(m, starts[0], T).states[T - 1]
     target = box(end - 0.02, end + 0.02)
     back = brs(series, target, T)
@@ -310,13 +318,11 @@ def test_hull_mode_exactness_insensitivity():
     plan = exact_plan(tbl)
     by_table = state_pairs(m, X, T, plan, hull_mode="table", table=tbl)
     by_exact = state_pairs(m, X, T, plan, hull_mode="exact", table=tbl)
-    by_relaxed = state_pairs(m, X, T, plan, hull_mode="relaxed", table=tbl)
     for t in range(2, T + 1):
         dirs = unit_directions(32, 4, seed=30 + t)
         a = [by_table.pair_set(t).support(d) for d in dirs]
-        for other in (by_exact, by_relaxed):
-            b = [other.pair_set(t).support(d) for d in dirs]
-            assert np.allclose(a, b, atol=1e-6)
+        b = [by_exact.pair_set(t).support(d) for d in dirs]
+        assert np.allclose(a, b, atol=1e-6)
 
 
 def test_series_json_export(half):

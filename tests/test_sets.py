@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +458,13 @@ def test_immutability():
     with pytest.raises(ValueError):
         Z.Gc[0, 0] = 5.0
 
+
+def test_stalled_primal_resolve_is_redone_by_dual():
+    # a random set (conftest.random_hz) on which a primal warm re-solve of a
+    # fiber LP ends with HiGHS model status "Unknown": the session must redo
+    # it by dual simplex instead of failing the query
+    Z = HybridZonotope.load(Path(__file__).parent / "data" / "stalled_primal.json")
+    polys = emit_projection(Z, (0, 1), 3)
+    assert [len(p) for p in polys] == [len(p) for p in emit_projection(Z, (0, 1), 16)]
+    for p in Z.sample_points(40, 0):
+        assert Z.contains_point(p, 1e-9)
