@@ -12,7 +12,7 @@ from .reach import (PlanEntry, PredictedComplexity, ReachSeries, RelaxationPlan,
                     brs, exact_plan, frs, predict_complexity, predicted_for_step,
                     rank_unstable, state_pairs)
 from .relu import (NeuronInterval, ReluLabel, graph_interval, graph_triangle,
-                   graph_vector, relu_layer_graph)
+                   relu_layer_graph)
 from .sets import FEAS_TOL, ComplexityRecord, HybridZonotope
 from .verify import (Safety, SafetyVerdict, UnsafeSequenceSet, unsafe_sequences,
                      verify_backward, verify_forward)
@@ -27,7 +27,7 @@ __all__ = [
     "PredictedComplexity", "PrefixMismatchError", "ReachSeries", "ReluLabel",
     "RelaxationPlan", "RnnLayer", "Safety", "SafetyVerdict", "SolveResult",
     "SolveStatus", "Trajectory", "UnsafeSequenceSet", "brs", "count_unstable",
-    "exact_plan", "frs", "graph_interval", "graph_triangle", "graph_vector",
+    "exact_plan", "frs", "graph_interval", "graph_triangle",
     "load_model", "lp_solve", "milp_solve", "predict_complexity",
     "predicted_for_step", "propagate_intervals", "rank_unstable",
     "relu_layer_graph", "save_model", "simulate", "state_pairs", "step",

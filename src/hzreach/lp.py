@@ -28,7 +28,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csc_array
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -143,6 +142,14 @@ def lp_solve(p: LpProblem) -> SolveResult:
     raise RuntimeError(f"LP solver failure (HiGHS status {res.status}): {res.message}")
 
 
+def column_wise(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of a dense matrix in compressed column form: column j's
+    row indices are ``index[start[j]:start[j+1]]``, ascending, and its
+    entries the same slice of ``value`` (the arrays of scipy's ``csc_array``)."""
+    cols, rows = np.nonzero(A.T)
+    return np.searchsorted(cols, np.arange(A.shape[1] + 1)), rows, A[rows, cols]
+
+
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4  # HiGHS simplex_strategy values
 _SETTLED = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasible)
 
@@ -174,14 +181,15 @@ class LpSession:
         if n == 0:
             return
         self._cols = np.arange(n, dtype=np.int32)
-        A = csc_array(p.A)
+        start, index, value = column_wise(p.A)
+        self._factored = value.size > 0
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = p.b.size
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.c, p.lb, p.ub
         lp.row_lower_ = lp.row_upper_ = p.b
         h = _highs._Highs()
@@ -225,6 +233,16 @@ class LpSession:
             return SolveResult(SolveStatus.INFEASIBLE)
         raise RuntimeError(f"LP solver failure (HiGHS model status "
                            f"{h.modelStatusToString(status)})")
+
+    def basic_variables(self) -> np.ndarray | None:
+        """The basis of the last solve, which must have been optimal: entry i
+        is the variable basic in position i, column j as j and the logical of
+        row r as -1 - r.  None when the rows have no nonzero, since HiGHS then
+        solves without a factorization and has no basis to report."""
+        if self._highs is None or not self._factored:
+            return None
+        status, basic = self._highs.getBasicVariables()
+        return np.asarray(basic) if status == _highs.HighsStatus.kOk else None
 
     def _run(self, strategy: int):
         """Run HiGHS with the given simplex variant; its model status."""

@@ -15,9 +15,9 @@ from .errors import EmptySetError
 from .sets import FEAS_TOL, FiberLp, HybridZonotope
 
 
-def _maximizer(fibers: FiberLp, xb: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A point of the fiber with binaries xb that maximizes d @ x."""
-    return fibers.point(xb, -(d @ fibers.hz.Gc))
+def _maximizers(fibers: FiberLp, xb: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Points of the fiber with binaries xb, row i maximizing dirs[i] @ x."""
+    return fibers.points(xb, -(dirs @ fibers.hz.Gc))
 
 
 def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
@@ -37,7 +37,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    starts = [_maximizer(fibers, xb, d) for d in dirs]
+    starts = _maximizers(fibers, xb, dirs)
     tol = FEAS_TOL * float(np.ptp(starts, axis=0).max())
     poly = []
     for p in starts:
@@ -49,7 +49,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     while len(poly) > 1 and i < len(poly):
         a, b = poly[i], poly[(i + 1) % len(poly)]
         n = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
-        p = _maximizer(fibers, xb, n)
+        p = _maximizers(fibers, xb, n[None])[0]
         if n @ (p - a) > tol:
             poly.insert(i + 1, p)
         else:

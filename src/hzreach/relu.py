@@ -111,39 +111,6 @@ def graph_triangle(iv: NeuronInterval) -> HybridZonotope:
                           np.hstack([Ac, Ab]), None, rhs)
 
 
-def graph_for_label(iv: NeuronInterval, label: ReluLabel) -> HybridZonotope:
-    """Exact graph, or the triangle relaxation for relaxed unstable units."""
-    if label is ReluLabel.RELAXED and iv.is_unstable:
-        return graph_triangle(iv)
-    return graph_interval(iv)
-
-
-def inputs_first_permutation(m: int) -> np.ndarray:
-    """Permutation matrix mapping (in1, out1, ..., inm, outm) to
-    (in1, ..., inm, out1, ..., outm)."""
-    P = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        P[j, 2 * j] = 1.0
-        P[m + j, 2 * j + 1] = 1.0
-    return P
-
-
-def graph_vector(ivs: list[NeuronInterval], labels: list[ReluLabel]) -> HybridZonotope:
-    """Graph of the vector-valued ReLU over a box, coordinates (inputs..., outputs...).
-
-    Cartesian product of the per-neuron graphs, permuted so that all input
-    coordinates come first.
-    """
-    if len(ivs) != len(labels):
-        raise ValueError("ivs and labels must have equal length")
-    if not ivs:
-        raise ValueError("need at least one neuron")
-    g = graph_for_label(ivs[0], labels[0])
-    for iv, label in zip(ivs[1:], labels[1:]):
-        g = g.cartesian_product(graph_for_label(iv, label))
-    return g.affine_map(inputs_first_permutation(len(ivs)))
-
-
 def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
                      labels: list[ReluLabel]):
     """Graph and image of the ReLU layer over an input set.

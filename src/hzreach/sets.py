@@ -9,7 +9,8 @@ All values are immutable after construction; every operation is a pure
 function of its inputs.  The set is the union of its binary fibers, one per
 feasible {-1,+1} assignment of xb (a leaf).  ``hzreach.lp`` enumerates the
 leaves once per set, and emptiness, support, exact interval hulls and
-sampling are answered from that cache, by one LP per leaf (``FiberLp``).
+sampling are answered from that cache, by LPs over the leaves' fibers
+(``FiberLp``).
 Membership enumerates the leaves of the set with the point's rows added.
 """
 
@@ -374,8 +375,8 @@ class HybridZonotope:
         Each draw picks one of the cached leaves at random, and the
         continuous factors solve that fiber's LP with a random objective, so
         samples land on vertices of the chosen fiber.  All draws are made
-        first and then solved grouped by leaf, so that within a leaf the warm
-        re-solves change only costs; row j is still the j-th draw's point.
+        first, and each leaf's draws are solved as one batch in draw order
+        (``FiberLp.points``); row j is still the j-th draw's point.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -384,13 +385,16 @@ class HybridZonotope:
         if not assignments:
             raise EmptySetError("cannot sample an empty set")
         rng = np.random.default_rng(seed)
-        draws = [(int(rng.integers(len(assignments))), rng.standard_normal(self.n_g))
-                 for _ in range(k)]
+        leaf = np.empty(k, dtype=int)
+        costs = np.empty((k, self.n_g))
+        for j in range(k):
+            leaf[j] = rng.integers(len(assignments))
+            costs[j] = rng.standard_normal(self.n_g)
         fibers = FiberLp(self)
         out = np.empty((k, self.dim))
-        for j in sorted(range(k), key=lambda j: draws[j][0]):  # stable: draw order per leaf
-            leaf, cost = draws[j]
-            out[j] = fibers.point(assignments[leaf], cost)
+        for i, xb in enumerate(assignments):
+            rows = np.flatnonzero(leaf == i)
+            out[rows] = fibers.points(xb, costs[rows])
         return out
 
     # -- serialization -------------------------------------------------
@@ -447,31 +451,58 @@ class FiberLp:
     factor space serves every fiber and cost of a query: a fiber's binaries
     are pinned through column bounds, which change only when the fiber
     does.  The session with the FEAS_TOL residual columns is built only for a
-    set with a fiber that needs it.
+    set with a fiber that needs it.  A batch of costs over one fiber
+    (``points``) pays one LP per distinct optimal basis, not one per cost.
     """
 
     def __init__(self, hz: HybridZonotope):
         self.hz = hz
         self._sessions: dict = {}  # row slack -> (LpSession, MilpProblem)
-        self._pinned: dict = {}  # row slack -> the fiber its session has pinned
+        self._pinned: dict = {}  # row slack -> (pinned fiber, its column bounds lb, ub)
+        self._movable: dict = {}  # row slack -> columns of the pinned fiber that can move
 
-    def point(self, xb: np.ndarray, cost: np.ndarray) -> np.ndarray:
-        """The member point of fiber ``xb`` whose factors xc minimize cost @ xc.
+    def points(self, xb: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Member points of fiber ``xb``, one per row of ``costs``: row i is
+        the point whose factors xc minimize costs[i] @ xc.
+
+        The costs are solved in order.  After each LP, one reduced-cost test
+        over the costs not yet answered gives every cost for which that LP's
+        optimal basis is optimal too the LP's vertex.  Certification stops
+        for the rest of the batch once it has answered fewer costs than the
+        tests it ran.  Rows are held exactly first, as in ``_exact_first``:
+        once the fiber's exact LP is infeasible, the rest of the batch runs
+        with FEAS_TOL slack.
 
         Raises:
             EmptySetError: if the fiber is empty even within FEAS_TOL.
         """
         hz = self.hz
-        if hz.n_g == 0:
-            return hz.Gb @ xb + hz.c
-        if hz.n_c == 0:
-            xc = np.where(cost > 0, -1.0, 1.0)
+        costs = np.asarray(costs, dtype=float)
+        if hz.n_c == 0 or hz.n_g == 0:
+            xc = np.where(costs > 0, -1.0, 1.0)
         else:
-            res = _exact_first(lambda slack: self._solve(slack, xb, cost))
-            if not res.is_optimal:
-                raise EmptySetError("enumerated assignment lost feasibility")
-            xc = res.x[:hz.n_g]
-        return hz.Gc @ xc + hz.Gb @ xb + hz.c
+            xc = np.empty_like(costs)
+            todo = np.ones(len(costs), dtype=bool)
+            slack, tests, certified = 0.0, 0, 0
+            for i in range(len(costs)):
+                if not todo[i]:
+                    continue
+                todo[i] = False
+                res = self._solve(slack, xb, costs[i])
+                if not res.is_optimal and slack == 0.0:
+                    slack = FEAS_TOL
+                    res = self._solve(slack, xb, costs[i])
+                if not res.is_optimal:
+                    raise EmptySetError("enumerated assignment lost feasibility")
+                xc[i] = res.x[:hz.n_g]
+                if certified >= tests and todo.any():
+                    rest = np.flatnonzero(todo)
+                    hits = rest[self._certified(slack, res.x, costs[rest])]
+                    xc[hits] = res.x[:hz.n_g]
+                    todo[hits] = False
+                    tests += 1
+                    certified += hits.size
+        return xc @ hz.Gc.T + hz.Gb @ xb + hz.c
 
     def minimum(self, cost: np.ndarray) -> float | None:
         """min of cost @ [xc, xb] over the set, None if it is empty.
@@ -496,10 +527,54 @@ class FiberLp:
         session, p = self._sessions[slack]
         c = np.concatenate([cost, np.zeros(p.lp.num_vars - cost.size)])
         pinned = self._pinned.get(slack)
-        if pinned is not None and np.array_equal(pinned, xb):
+        if pinned is not None and np.array_equal(pinned[0], xb):
             return session.solve(c)
-        self._pinned[slack] = np.array(xb)  # copied: callers may reuse their arrays
-        return session.solve(c, *pinned_bounds(p, xb))
+        lb, ub = pinned_bounds(p, xb)
+        self._pinned[slack] = (np.array(xb), lb, ub)  # copied: callers may reuse xb
+        self._movable.pop(slack, None)
+        return session.solve(c, lb, ub)
+
+    def _certified(self, slack: float, x: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Which rows of ``costs`` (over xc) the optimal basis of the last LP
+        at ``slack``, whose solution is x, is optimal for.
+
+        A basis is optimal for every cost whose reduced costs keep their
+        signs (Bertsimas & Tsitsiklis 1997, section 5.1): with B.T @ y = c_B,
+        d = c - A.T @ y must be >= 0 on each nonbasic column at its lower
+        bound and <= 0 at its upper, tested without tolerance.  Columns that
+        cannot move are skipped: the pinned binaries and every column of a
+        forcing row, whose right-hand side equals its least or greatest
+        activity over the fiber's box (Andersen & Andersen 1995).
+        """
+        session, p = self._sessions[slack]
+        basic = session.basic_variables()
+        if basic is None:
+            return np.zeros(len(costs), dtype=bool)
+        A = p.lp.A
+        _, lb, ub = self._pinned[slack]
+        if slack not in self._movable:
+            low, high = np.minimum(A * lb, A * ub), np.maximum(A * lb, A * ub)
+            forcing = (p.lp.b == low.sum(axis=1)) | (p.lp.b == high.sum(axis=1))
+            self._movable[slack] = (lb < ub) & ~A[forcing].any(axis=0)
+        logical = basic < 0
+        columns = basic[~logical]
+        test = self._movable[slack].copy()
+        test[columns] = False
+        C = np.zeros((A.shape[1], len(costs)))
+        C[:costs.shape[1]] = costs.T
+        Bt = np.zeros((A.shape[0], A.shape[0]))  # B.T; a logical's row is +/-e_r, its cost 0
+        Bt[~logical] = A[:, columns].T
+        Bt[logical, -1 - basic[logical]] = 1.0
+        cB = np.zeros((A.shape[0], len(costs)))
+        cB[~logical] = C[columns]
+        try:
+            y = np.linalg.solve(Bt, cB)
+        except np.linalg.LinAlgError:
+            return np.zeros(len(costs), dtype=bool)
+        d = C[test] - A[:, test].T @ y
+        xt = x[test]
+        at_lb, at_ub = (xt == lb[test])[:, None], (xt == ub[test])[:, None]
+        return ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=0)
 
 
 def _exact_first(solve) -> SolveResult:

@@ -56,8 +56,7 @@ def test_flat_fibers_keep_their_polygons():
     fibers = FiberLp(Z)
     rng = np.random.default_rng(0)
     for xb, poly in zip(Z.feasible_binary_assignments(), polys):
-        for _ in range(20):
-            p = fibers.point(xb, rng.standard_normal(Z.n_g))
+        for p in fibers.points(xb, rng.standard_normal((20, Z.n_g))):
             assert distance_to_convex_polygon(p, poly) <= 1e-6
     for p in Z.sample_points(200, 1):
         assert min(distance_to_convex_polygon(p, poly) for poly in polys) <= 1e-6

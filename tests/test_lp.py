@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from hzreach import LpProblem, MilpProblem, SolveStatus, lp_solve, milp_solve
-from hzreach.lp import LpSession, enumerate_binary_leaves
+from hzreach.lp import LpSession, column_wise, enumerate_binary_leaves
 
 from conftest import milp_by_enumeration
 
@@ -142,6 +143,24 @@ def _sparse_feasible(rng, n, m):
     A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.6)
     witness = rng.uniform(-1, 1, size=n)
     return A, A @ witness
+
+
+def test_column_wise_matches_csc_array():
+    # the matrix passed to HiGHS: same arrays as scipy's compressed columns,
+    # with empty rows and columns and the all-zero and empty matrices
+    rng = np.random.default_rng(34)
+    shapes = [(int(rng.integers(0, 8)), int(rng.integers(0, 8))) for _ in range(40)]
+    for m, n in shapes + [(3, 5), (0, 4), (4, 0)]:
+        A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.4)
+        if m and n:
+            A[int(rng.integers(m))] = 0.0
+            A[:, int(rng.integers(n))] = 0.0
+        start, index, value = column_wise(A)
+        ref = csc_array(A)
+        assert np.array_equal(start, ref.indptr)
+        assert np.array_equal(index, ref.indices)
+        assert np.array_equal(value, ref.data)
+    assert column_wise(np.zeros((3, 5)))[0].tolist() == [0] * 6
 
 
 def test_session_matches_lp_solve_over_cost_changes():

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
                      LpProblem, PrefixMismatchError, lp_solve)
+from hzreach.lp import LpSession
+from hzreach.sets import FiberLp
 
 from hzreach.projection import emit_projection
 
 from conftest import box, membership_predicate, random_hz, unit_directions
+
+DATA = Path(__file__).parent / "data"
 
 
 # -- affine map --------------------------------------------------------------
@@ -463,8 +467,106 @@ def test_stalled_primal_resolve_is_redone_by_dual():
     # a random set (conftest.random_hz) on which a primal warm re-solve of a
     # fiber LP ends with HiGHS model status "Unknown": the session must redo
     # it by dual simplex instead of failing the query
-    Z = HybridZonotope.load(Path(__file__).parent / "data" / "stalled_primal.json")
+    Z = HybridZonotope.load(DATA / "stalled_primal.json")
     polys = emit_projection(Z, (0, 1), 3)
     assert [len(p) for p in polys] == [len(p) for p in emit_projection(Z, (0, 1), 16)]
     for p in Z.sample_points(40, 0):
         assert Z.contains_point(p, 1e-9)
+
+
+# -- fiber point batches and their basis certificates ------------------------
+
+def _fiber_reference(Z: HybridZonotope, xb: np.ndarray, cost: np.ndarray) -> float:
+    """min of cost @ xc over fiber xb by one-shot LP: rows exact if they can
+    be, else each within FEAS_TOL (a residual column per row)."""
+    A = np.hstack([Z.Ac, np.eye(Z.n_c)])
+    c = np.concatenate([cost, np.zeros(Z.n_c)])
+    for slack in (0.0, FEAS_TOL):
+        bound = np.concatenate([np.ones(Z.n_g), np.full(Z.n_c, slack)])
+        res = lp_solve(LpProblem(c, A, Z.b - Z.Ab @ xb, -bound, bound))
+        if res.is_optimal:
+            return res.objective
+    raise AssertionError("enumerated fiber infeasible")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["random", "grazed", "flat"]),
+       n_g=st.integers(2, 5), n_b=st.integers(0, 2), n_c=st.integers(1, 3),
+       side=st.sampled_from([-1.0, 1.0]), delta=st.floats(0.0, FEAS_TOL / 2))
+def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, side, delta):
+    # every cost of a batch, answered by an LP or by a basis certificate, gets
+    # the one-shot LP's objective and a point of the set
+    rng = np.random.default_rng(seed)
+    if source == "flat":
+        Z = HybridZonotope.load(DATA / "flat_fibers.json")
+    else:
+        Z = random_hz(rng, dim=2, n_g=n_g, n_b=n_b, n_c=n_c)
+        if source == "grazed":
+            Z = _grazed(Z, seed % n_c, side, delta)
+    leaves = Z.feasible_binary_assignments()
+    if not leaves:
+        return
+    # the same rows over factor coordinates: its points are the minimizing xc
+    factors = HybridZonotope(np.eye(Z.n_g), np.zeros((Z.n_g, Z.n_b)), np.zeros(Z.n_g),
+                             Z.Ac, Z.Ab, Z.b)
+    fibers = FiberLp(factors)
+    k = 6 if source == "flat" else 20
+    for i in rng.permutation(len(leaves))[:3]:
+        xb = leaves[i]
+        costs = rng.standard_normal((k, Z.n_g))
+        costs[k // 2:] = costs[:k - k // 2] * rng.uniform(0.5, 2.0, size=(k - k // 2, 1))
+        for cost, xc in zip(costs, fibers.points(xb, costs)):
+            assert cost @ xc == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
+            assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c, 1e-6)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Patch LpSession.solve to record each result; the list of results."""
+    results = []
+    real = LpSession.solve
+
+    def counted(self, *args, **kwargs):
+        results.append(real(self, *args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(LpSession, "solve", counted)
+    return results
+
+
+def test_sampling_pays_one_lp_per_optimal_basis(monkeypatch):
+    # 500 draws over the 7 leaves reach few vertices of each fiber
+    Z = HybridZonotope.load(DATA / "flat_fibers.json")
+    assert len(Z.feasible_binary_assignments()) == 7
+    solves = _count_solves(monkeypatch)
+    pts = Z.sample_points(500, 1)
+    assert len(solves) <= 100
+    for p in pts[::25]:
+        assert Z.contains_point(p, 1e-6)
+
+
+def test_fiber_feasible_only_within_tolerance_pays_one_exact_lp_per_batch(monkeypatch):
+    Z = HybridZonotope(Gc=np.eye(2), c=[0.0, 0.0], Ac=[[1.0, 0.0]], b=[1 + 5e-8])
+    (xb,) = Z.feasible_binary_assignments()
+    solves = _count_solves(monkeypatch)
+    fibers = FiberLp(Z)
+    rng = np.random.default_rng(0)
+    for batch in range(2):
+        pts = fibers.points(xb, rng.standard_normal((30, 2)))
+        infeasible = [r for r in solves if not r.is_optimal]
+        assert len(infeasible) == batch + 1
+        assert np.all(np.abs(pts[:, 0] - 1.0) <= 1e-7)
+        assert np.all(np.abs(np.abs(pts[:, 1]) - 1.0) <= 1e-12)
+    assert len(solves) < 30
+
+
+def test_fiber_points_with_an_all_zero_row(monkeypatch):
+    # the rows have no nonzero, so HiGHS solves without a factorization and
+    # has no basis to read (asking for it crashes): every cost is solved
+    rng = np.random.default_rng(11)
+    G = rng.normal(size=(2, 12))
+    c = rng.normal(size=2)
+    Z = HybridZonotope(Gc=G, c=c, Ac=np.zeros((1, 12)), b=np.zeros(1))
+    costs = rng.standard_normal((8, 12))
+    solves = _count_solves(monkeypatch)
+    pts = FiberLp(Z).points(np.zeros(0), costs)
+    assert len(solves) == 8
+    assert np.max(np.abs(pts - (-np.sign(costs) @ G.T + c))) <= 1e-12
