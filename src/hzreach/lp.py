@@ -256,16 +256,6 @@ class LpSession:
         return h.getModelStatus()
 
 
-def least(results) -> SolveResult:
-    """The optimal result with the least objective, the first one on ties;
-    infeasible when none is optimal."""
-    best = SolveResult(SolveStatus.INFEASIBLE)
-    for res in results:
-        if res.is_optimal and (not best.is_optimal or res.objective < best.objective):
-            best = res
-    return best
-
-
 def milp_solve(p: MilpProblem) -> SolveResult:
     """Exact minimization over {-1,+1} binaries: the least pinned LP over the
     feasible leaves of ``enumerate_binary_leaves``, solved warm in one session.
@@ -274,8 +264,9 @@ def milp_solve(p: MilpProblem) -> SolveResult:
     satisfies the constraints to LP tolerance.
     """
     session = LpSession(p.lp)
-    return least(session.solve(p.lp.c, *pinned_bounds(p, xb))
-                 for xb in enumerate_binary_leaves(p))
+    solved = (session.solve(p.lp.c, *pinned_bounds(p, xb)) for xb in enumerate_binary_leaves(p))
+    return min((res for res in solved if res.is_optimal), key=lambda res: res.objective,
+               default=SolveResult(SolveStatus.INFEASIBLE))
 
 
 def pinned_bounds(p: MilpProblem, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,11 +15,6 @@ from .errors import EmptySetError
 from .sets import FEAS_TOL, FiberLp, HybridZonotope
 
 
-def _maximizers(fibers: FiberLp, xb: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Points of the fiber with binaries xb, row i maximizing dirs[i] @ x."""
-    return fibers.points(xb, -(dirs @ fibers.hz.Gc))
-
-
 def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     """Vertices, counter-clockwise, of one binary fiber of a 2-D set.
 
@@ -37,7 +32,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    starts = _maximizers(fibers, xb, dirs)
+    starts = fibers.maximizers(xb, dirs)
     tol = FEAS_TOL * float(np.ptp(starts, axis=0).max())
     poly = []
     for p in starts:
@@ -49,7 +44,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     while len(poly) > 1 and i < len(poly):
         a, b = poly[i], poly[(i + 1) % len(poly)]
         n = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
-        p = _maximizers(fibers, xb, n[None])[0]
+        p = fibers.maximizers(xb, n[None])[0]
         if n @ (p - a) > tol:
             poly.insert(i + 1, p)
         else:
@@ -83,10 +78,10 @@ def emit_projection(Z: HybridZonotope, dims: tuple[int, int],
 
 def write_points_csv(path, points: np.ndarray, dims) -> None:
     """Points as CSV, one column x{i} per coordinate i in ``dims``."""
+    lines = [",".join(f"x{i}" for i in dims)]
+    lines += [",".join(map(repr, row)) for row in np.asarray(points, dtype=float).tolist()]
     with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in dims) + "\n")
-        for p in points:
-            fh.write(",".join(repr(float(v)) for v in p) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -111,11 +106,11 @@ def write_svg(path, groups, size: int = 640, margin: float = 0.05) -> None:
     lo, hi = lo - pad, hi + pad
     scale = size / float((hi - lo).max())
 
-    def sx(v):
-        return (v - lo[0]) * scale
-
-    def sy(v):
-        return size - (v - lo[1]) * scale
+    def screen(p) -> list:
+        """Screen coordinates of the rows of p, as Python floats."""
+        q = (np.asarray(p, dtype=float) - lo) * scale
+        q[:, 1] = size - q[:, 1]
+        return q.tolist()
 
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">',
@@ -126,13 +121,12 @@ def write_svg(path, groups, size: int = 640, margin: float = 0.05) -> None:
         for poly in polys:
             if len(poly) < 2:
                 continue
-            coords = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in poly)
+            coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in screen(poly))
             lines.append(f'<polygon points="{coords}" fill="{color}" '
                          f'fill-opacity="0.35" stroke="{color}" stroke-width="1"/>')
         if points is not None:
-            for x, y in points:
-                lines.append(f'<circle cx="{sx(x):.3f}" cy="{sy(y):.3f}" r="1.2" '
-                             f'fill="{color}"/>')
+            lines += [f'<circle cx="{x:.3f}" cy="{y:.3f}" r="1.2" fill="{color}"/>'
+                      for x, y in screen(points)]
         lines.append("</g>")
     lines.append("</svg>")
     with open(path, "w") as fh:

@@ -8,10 +8,12 @@ A hybrid zonotope <Gc, Gb, c, Ac, Ab, b> represents the set
 All values are immutable after construction; every operation is a pure
 function of its inputs.  The set is the union of its binary fibers, one per
 feasible {-1,+1} assignment of xb (a leaf).  ``hzreach.lp`` enumerates the
-leaves once per set, and emptiness, support, exact interval hulls and
-sampling are answered from that cache, by LPs over the leaves' fibers
-(``FiberLp``).
-Membership enumerates the leaves of the set with the point's rows added.
+leaves once per set, with every row allowed FEAS_TOL of slack, and
+emptiness, support, exact interval hulls and sampling are answered from that
+cache: support and hull values are the max/min over member points of the
+leaves' fibers (``FiberLp.points``), which hold the rows exactly in a fiber
+that allows it.  Membership enumerates the leaves of the set with the
+point's rows added.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import numpy as np
 from .errors import EmptySetError, PrefixMismatchError
 from .intervals import IntervalVector
 from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
-                 least, pinned_bounds)
+                 pinned_bounds)
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
-# all feasibility decisions (emptiness, membership); support, exact hulls and
-# sampling hold the rows exactly where they can and use the slack where not.
+# all feasibility decisions (emptiness, membership, leaf enumeration); the
+# fiber points behind support, exact hulls, sampling and projections use it
+# only in a leaf whose fiber is infeasible with exact rows.
 FEAS_TOL = 1e-7
 
 
@@ -311,7 +314,9 @@ class HybridZonotope:
         return bool(self._enumerate(self._milp(rows, x - self.c, slack=tol)))
 
     def support(self, d) -> float:
-        """max over the set of d @ x: the largest fiber LP over the leaves.
+        """max over the set of d @ x: the largest over the cached leaves of
+        d @ x at the fiber's maximizer (``FiberLp.maximizers``).  A set
+        without rows has the closed form d @ c + |d @ Gc|_1 + |d @ Gb|_1.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -319,34 +324,40 @@ class HybridZonotope:
         d = np.asarray(d, dtype=float).reshape(-1)
         if d.size != self.dim:
             raise ValueError("direction dimension mismatch")
-        low = FiberLp(self).minimum(-np.concatenate([d @ self.Gc, d @ self.Gb]))
-        if low is None:
-            raise EmptySetError("support of an empty set")
-        return float(-low + d @ self.c)
+        if self.n_c == 0:
+            return float(d @ self.c + np.abs(d @ self.Gc).sum() + np.abs(d @ self.Gb).sum())
+        return float((self._leaf_maximizers(d[None], "support") @ d).max())
 
     def interval_hull(self, mode: str = "exact") -> IntervalVector:
         """Smallest axis-aligned box containing the set.
 
-        ``exact`` minimizes and maximizes each coordinate over the leaves, in
-        one ``FiberLp``; ``generator_relaxed`` ignores the constraints and
-        returns c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset.
+        ``exact`` is the box of the fiber maximizers of the 2*dim coordinate
+        directions over the cached leaves (one ``FiberLp.maximizers`` batch
+        per leaf); ``generator_relaxed`` ignores the constraints and returns
+        c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset and, for a set without
+        rows, the exact hull.
         """
-        if mode == "generator_relaxed":
+        if mode not in ("exact", "generator_relaxed"):
+            raise ValueError(f"unknown hull mode: {mode!r}")
+        if mode == "generator_relaxed" or self.n_c == 0:
             rad = np.abs(self.Gc) @ np.ones(self.n_g) + np.abs(self.Gb) @ np.ones(self.n_b)
             return IntervalVector(self.c - rad, self.c + rad)
-        if mode != "exact":
-            raise ValueError(f"unknown hull mode: {mode!r}")
+        eye = np.eye(self.dim)
+        points = self._leaf_maximizers(np.vstack([-eye, eye]), "interval hull")
+        return IntervalVector(points.min(axis=0), points.max(axis=0))
+
+    def _leaf_maximizers(self, dirs: np.ndarray, query: str) -> np.ndarray:
+        """The fiber maximizers of every direction in ``dirs`` over every
+        cached leaf, stacked.
+
+        Raises:
+            EmptySetError: if the set is empty, naming the ``query``.
+        """
+        leaves = self.feasible_binary_assignments()
+        if not leaves:
+            raise EmptySetError(f"{query} of an empty set")
         fibers = FiberLp(self)
-        lower = np.empty(self.dim)
-        upper = np.empty(self.dim)
-        for i in range(self.dim):
-            row = np.concatenate([self.Gc[i], self.Gb[i]])
-            lo = fibers.minimum(row)
-            if lo is None:
-                raise EmptySetError("interval hull of an empty set")
-            lower[i] = lo + self.c[i]
-            upper[i] = -fibers.minimum(-row) + self.c[i]
-        return IntervalVector(np.minimum(lower, upper), np.maximum(lower, upper))
+        return np.vstack([fibers.maximizers(xb, dirs) for xb in leaves])
 
     def feasible_binary_assignments(self, limit: int = 100_000) -> list[np.ndarray]:
         """All {-1,+1} assignments of the binary factors admitting feasible xc.
@@ -435,7 +446,7 @@ class HybridZonotope:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))  # one string, by the C encoder
 
     @classmethod
     def load(cls, path) -> "HybridZonotope":
@@ -444,7 +455,7 @@ class HybridZonotope:
 
 
 class FiberLp:
-    """Cost minimization over the factors of one binary fiber, or of all.
+    """Cost minimization over the factors of one binary fiber at a time.
 
     The fiber of a binary assignment xb is the constrained zonotope left when
     the binaries are fixed to xb.  One LpSession per row slack over the set's
@@ -469,9 +480,10 @@ class FiberLp:
         over the costs not yet answered gives every cost for which that LP's
         optimal basis is optimal too the LP's vertex.  Certification stops
         for the rest of the batch once it has answered fewer costs than the
-        tests it ran.  Rows are held exactly first, as in ``_exact_first``:
-        once the fiber's exact LP is infeasible, the rest of the batch runs
-        with FEAS_TOL slack.
+        tests it ran.  Rows are held exactly first, per fiber: only once
+        this fiber's exact LP is infeasible does the rest of the batch run
+        with FEAS_TOL slack, so a fiber nonempty with exact rows gets exact
+        points whatever the other fibers of the set need.
 
         Raises:
             EmptySetError: if the fiber is empty even within FEAS_TOL.
@@ -504,19 +516,9 @@ class FiberLp:
                     certified += hits.size
         return xc @ hz.Gc.T + hz.Gb @ xb + hz.c
 
-    def minimum(self, cost: np.ndarray) -> float | None:
-        """min of cost @ [xc, xb] over the set, None if it is empty.
-
-        The least fiber LP over the cached leaves.  Rows are held exactly
-        wherever some leaf allows it, and leaves feasible only within
-        FEAS_TOL then do not count (``_exact_first`` over all leaves).
-        """
-        hz = self.hz
-        if hz.n_c == 0:  # 2^n_b leaves, each a box: the optimum is closed form
-            return float(cost @ np.where(cost > 0, -1.0, 1.0))
-        leaves = hz.feasible_binary_assignments()
-        res = _exact_first(lambda slack: least(self._solve(slack, xb, cost) for xb in leaves))
-        return res.objective if res.is_optimal else None
+    def maximizers(self, xb: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Points of fiber ``xb``, row i maximizing dirs[i] @ x (``points``)."""
+        return self.points(xb, -(dirs @ self.hz.Gc))
 
     def _solve(self, slack: float, xb: np.ndarray, cost: np.ndarray) -> SolveResult:
         """The LP of fiber ``xb`` at row ``slack`` under ``cost`` over its
@@ -575,12 +577,3 @@ class FiberLp:
         xt = x[test]
         at_lb, at_ub = (xt == lb[test])[:, None], (xt == ub[test])[:, None]
         return ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=0)
-
-
-def _exact_first(solve) -> SolveResult:
-    """``solve(0.0)`` with the rows held exactly or, only when that is
-    infeasible, ``solve(FEAS_TOL)`` with the row slack that emptiness and leaf
-    enumeration allow: a set or fiber those call nonempty is never empty to an
-    optimizing query, and one nonempty with exact rows gets exact results."""
-    res = solve(0.0)
-    return res if res.is_optimal else solve(FEAS_TOL)

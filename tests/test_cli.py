@@ -7,7 +7,7 @@ import pytest
 from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, lp_solve,
                      save_model)
 from hzreach.cli import main
-from hzreach.projection import emit_projection
+from hzreach.projection import emit_projection, write_points_csv, write_svg
 from hzreach.sets import FiberLp
 from hzreach.relu import graph_triangle
 from hzreach.systems import gate_system, half_system
@@ -343,3 +343,39 @@ def test_bad_horizon_exits_nonzero(tmp_path, half_files):
                  "--initial", str(half_files / "initial.json"),
                  "-T", "1", "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+# -- output writers ------------------------------------------------------
+
+def test_writers_match_per_value_reference(tmp_path):
+    # the writers format whole arrays at once; their bytes must be those of
+    # formatting one value at a time
+    rng = np.random.default_rng(31)
+    points = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-9, 4, size=(40, 1))
+    polys = [rng.normal(size=(5, 2)), rng.normal(size=(1, 2)), rng.normal(size=(2, 2))]
+    write_points_csv(tmp_path / "p.csv", points, (0, 1))
+    rows = ["x0,x1"] + [",".join(repr(float(v)) for v in p) for p in points]
+    assert (tmp_path / "p.csv").read_text() == "\n".join(rows) + "\n"
+
+    write_svg(tmp_path / "p.svg", [("a", polys, points), ("b", polys[:1], None)], size=100)
+    allp = np.vstack(polys + [points])
+    lo, hi = allp.min(axis=0), allp.max(axis=0)
+    pad = 0.05 * float(np.maximum(hi - lo, 1e-9).max())
+    lo, hi = lo - pad, hi + pad
+    scale = 100 / float((hi - lo).max())
+    text = (tmp_path / "p.svg").read_text()
+    for poly in (polys[0], polys[2]):
+        coords = " ".join(f"{(x - lo[0]) * scale:.3f},{100 - (y - lo[1]) * scale:.3f}"
+                          for x, y in poly)
+        assert f'<polygon points="{coords}" ' in text
+    for x, y in points:
+        circle = f'<circle cx="{(x - lo[0]) * scale:.3f}" cy="{100 - (y - lo[1]) * scale:.3f}" '
+        assert circle in text
+    assert text.count("<polygon") == 3 and text.count("<circle") == len(points)
+
+    Z = HybridZonotope(rng.normal(size=(2, 3)), rng.normal(size=(2, 1)), rng.normal(size=2),
+                       rng.normal(size=(1, 3)), rng.normal(size=(1, 1)), rng.normal(size=1))
+    Z.save(tmp_path / "z.json")
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(Z.to_json_dict(), fh)
+    assert (tmp_path / "z.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

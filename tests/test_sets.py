@@ -320,25 +320,49 @@ def _grazed(Z: HybridZonotope, row: int, side: float, delta: float) -> HybridZon
     return HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, b)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 3), n_g=st.integers(2, 4),
-       n_b=st.integers(0, 2), n_c=st.integers(1, 2), row=st.integers(0, 1),
-       side=st.sampled_from([None, -1.0, 1.0]), delta=st.floats(0.0, FEAS_TOL / 2))
-def test_queries_of_nonempty_sets_succeed_and_samples_lie_in_hull(seed, dim, n_g, n_b,
+def _mixed(rng, dim: int, n_g: int, side: float, delta: float) -> HybridZonotope:
+    """A random set with one row and two leaves: its row holds exactly in
+    one leaf and, pushed ``delta`` past the range of its continuous part on
+    the ``side`` end, only within ``delta`` in the other."""
+    a = rng.normal(size=n_g)
+    reach = np.abs(a).sum()
+    exact, grazing = rng.uniform(-0.9, 0.9) * reach, side * (reach + delta)
+    xb = rng.choice([-1.0, 1.0])  # the grazing leaf
+    return HybridZonotope(rng.normal(size=(dim, n_g)), rng.normal(size=(dim, 1)),
+                          rng.normal(size=dim), [a], [[xb * (exact - grazing) / 2]],
+                          [(exact + grazing) / 2])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["random", "grazed", "mixed"]),
+       dim=st.integers(2, 3), n_g=st.integers(2, 4), n_b=st.integers(0, 2),
+       n_c=st.integers(1, 2), row=st.integers(0, 1), side=st.sampled_from([-1.0, 1.0]),
+       delta=st.floats(0.0, FEAS_TOL / 2))
+def test_queries_of_nonempty_sets_succeed_and_samples_lie_in_hull(seed, source, dim, n_g, n_b,
                                                                    n_c, row, side, delta):
     # one tolerance rule: a set that emptiness calls nonempty, grazing ones
-    # included, is nonempty to every optimizing query
+    # included, is nonempty to every optimizing query, and a leaf that holds
+    # its rows only within FEAS_TOL counts in support and hulls as it does
+    # in samples and projections, also beside a leaf that holds them exactly
     rng = np.random.default_rng(seed)
-    Z = random_hz(rng, dim=dim, n_g=n_g, n_b=n_b, n_c=n_c)
-    if side is not None:
-        Z = _grazed(Z, row % n_c, side, delta)
+    if source == "mixed":
+        Z = _mixed(rng, dim, n_g, side, delta)
+        assert len(Z.feasible_binary_assignments()) == 2
+    else:
+        Z = random_hz(rng, dim=dim, n_g=n_g, n_b=n_b, n_c=n_c)
+        if source == "grazed":
+            Z = _grazed(Z, row % n_c, side, delta)
     if Z.is_empty():
         return
-    assert np.isfinite(Z.support(rng.standard_normal(dim)))
+    d = rng.standard_normal(dim)
     hull = Z.interval_hull("exact")
     pts = Z.sample_points(20, seed % 1000)
+    assert np.max(pts @ d) <= Z.support(d) + 1e-6
     assert np.all(pts >= hull.lower - 1e-6) and np.all(pts <= hull.upper + 1e-6)
-    assert emit_projection(Z, (0, 1), 16)
+    polys = emit_projection(Z, (0, 1), 16)
+    assert polys
+    vertices = np.vstack(polys)
+    assert np.all(vertices >= hull.lower[:2] - 1e-6) and np.all(vertices <= hull.upper[:2] + 1e-6)
 
 
 def test_binary_leaves_enumerated_once_per_set(monkeypatch):
@@ -374,16 +398,18 @@ def test_leaf_cap_fails_fast_naming_the_set():
     assert time.perf_counter() - start < 10.0
 
 
-def test_support_and_hull_ignore_leaf_feasible_only_within_tolerance():
+def test_support_and_hull_include_leaf_feasible_only_within_tolerance():
     # leaf xb = -1 holds its row exactly at x = -1 - 5e-8; leaf xb = +1 only
-    # within FEAS_TOL, at x = 1.  Rows are held exactly over the whole set
-    # first, so the grazing leaf, which is larger, must not count.
+    # within FEAS_TOL, at x = 1 + 5e-8.  Rows are held exactly first in each
+    # leaf on its own, so the grazing leaf counts, as it does for sampling.
     Z = HybridZonotope(Gc=[[1.0]], Gb=[[2.0]], c=[0.0], Ac=[[1.0]], Ab=[[1.0]], b=[-5e-8])
     assert len(Z.feasible_binary_assignments()) == 2
-    assert Z.support([1.0]) == pytest.approx(-1.0 - 5e-8, abs=1e-12)
+    assert Z.support([1.0]) == pytest.approx(1.0 + 5e-8, abs=1e-12)
     hull = Z.interval_hull("exact")
-    assert hull.upper[0] == pytest.approx(-1.0 - 5e-8, abs=1e-12)
     assert hull.lower[0] == pytest.approx(-1.0 - 5e-8, abs=1e-12)
+    assert hull.upper[0] == pytest.approx(1.0 + 5e-8, abs=1e-12)
+    pts = Z.sample_points(50, 0)
+    assert np.all((pts >= hull.lower) & (pts <= hull.upper))
 
 
 def test_samples_deterministic_for_seed():
