@@ -37,9 +37,16 @@ def _build_series(model, domain_hz, args):
     return state_pairs(model, domain_hz, args.T, plan, hull_mode=args.hull, table=tbl)
 
 
+def _same_data(a: HybridZonotope, b: HybridZonotope) -> bool:
+    """Do the two sets hold the same blocks, shape and bytes alike?"""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip((a.Gc, a.Gb, a.c, a.Ac, a.Ab, a.b),
+                               (b.Gc, b.Gb, b.c, b.Ac, b.Ab, b.b)))
+
+
 def _dump(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(obj, sort_keys=True))  # one string, by the C encoder
 
 
 def _emit_set(args, stem: str, hz: HybridZonotope, seed: int):
@@ -120,7 +127,12 @@ def cmd_verify(args) -> int:
 
     fwd_series = _build_series(model, initial, args)
     fwd = verify_forward(fwd_series, unsafe, seed=args.seed)
-    bwd_series = _build_series(model, domain, args)
+    # A domain equal to the initial set builds the same series: the backward
+    # route then reuses it, and with it the leaves of the BRS_t just checked.
+    if _same_data(domain, initial):
+        bwd_series = fwd_series
+    else:
+        bwd_series = _build_series(model, domain, args)
     bwd = verify_backward(bwd_series, unsafe, initial, seed=args.seed)
 
     if Safety.UNSAFE in (fwd.status, bwd.status):

@@ -298,6 +298,8 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000,
         stack = [(p.lp.lb.copy(), p.lp.ub.copy())]
     else:
         stack = [pinned_bounds(p, xb) for xb in reversed(candidates)]
+    if not stack:  # no candidate: no leaf, and no LP to pass to the solver
+        return leaves
     session = LpSession(LpProblem(np.zeros(p.lp.num_vars), p.lp.A, p.lp.b,
                                   p.lp.lb, p.lp.ub))
     while stack:

@@ -23,8 +23,10 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     point within tol = FEAS_TOL times the fiber's extent of the one before
     is merged into it.  Each edge is then checked in its outward normal: a
     maximizer beyond the edge by more than tol is inserted between the
-    edge's two ends, otherwise the edge is a facet.  A flat fiber comes out
-    as a segment (two vertices) or a point (one).
+    edge's two ends, otherwise the edge is a facet.  Last, a vertex within
+    tol of the segment joining its neighbours, such as a start maximizer
+    inside an edge, is dropped.  A flat fiber comes out as a segment (two
+    vertices) or a point (one).
 
     The loop ends: each insertion is a fiber point strictly outside the
     current polygon, which only grows, so no point is inserted twice, and
@@ -49,7 +51,21 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
             poly.insert(i + 1, p)
         else:
             i += 1
+    i = 0
+    while len(poly) > 2 and i < len(poly):
+        if _distance_to_segment(poly[i], poly[i - 1], poly[(i + 1) % len(poly)]) <= tol:
+            poly.pop(i)
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return np.array(poly)
+
+
+def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance from point p to the segment [a, b]."""
+    d = b - a
+    s = min(max((p - a) @ d / (d @ d), 0.0), 1.0) if d.any() else 0.0
+    return float(np.hypot(*(p - a - s * d)))
 
 
 def emit_projection(Z: HybridZonotope, dims: tuple[int, int],

@@ -14,14 +14,14 @@ replaced by their convex triangle, trading tightness for complexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import BoundsTable, count_unstable
 from .errors import EmptyDomainError
 from .model import ClosedLoopRnn
-from .relu import NeuronInterval, ReluLabel, relu_layer_graph
+from .relu import NeuronInterval, ReluLabel, relu_layer_output
 from .sets import ComplexityRecord, HybridZonotope
 
 
@@ -96,7 +96,10 @@ class ReachSeries:
     """Per-step pair sets plus everything needed to extract FRSs and BRSs.
 
     ``pairs[t]`` is the step-t pair set: the pairs (x_1, x_t) in R^(2n),
-    initial-state block first, then the step-t block.
+    initial-state block first, then the step-t block.  The sets that ``frs``,
+    ``brs`` and ``meet`` build on this series are kept with it, so asking
+    again with the same set objects and step returns the same set, its
+    cached leaves included.
     """
 
     model: ClosedLoopRnn
@@ -105,6 +108,9 @@ class ReachSeries:
     plan: RelaxationPlan
     table: BoundsTable
     hull_mode: str
+    # query key -> (operand sets, built set); the operands are held so that
+    # the ids in the key stay theirs
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -177,22 +183,38 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
                 pair = prev_hidden[layer_no - 1].constrained_product(inp)
                 Z = pair.affine_map(np.hstack([layer.Wh, layer.Wx]), layer.vh)
             ivs, labs = _stage(Z, t, layer_no, labels, table, hull_mode)
-            _, out = relu_layer_graph(Z, ivs, labs)
+            out = relu_layer_output(Z, ivs, labs)
             new_hidden.append(out)
             inp = out
         Zy = inp.affine_map(m.Wy, m.vy)
         ivs, labs = _stage(Zy, t, table.output_layer, labels, table, hull_mode)
-        _, state_set = relu_layer_graph(Zy, ivs, labs)
+        state_set = relu_layer_output(Zy, ivs, labs)
         pairs[t + 1] = X.constrained_product(state_set)
         prev_hidden = new_hidden
     return ReachSeries(m, X, pairs, plan, table, hull_mode)
 
 
+def _kept(series: ReachSeries, key: tuple, operands: tuple, build) -> HybridZonotope:
+    """``build()``, run once per series and key."""
+    if key not in series._kept:
+        series._kept[key] = (operands, build())
+    return series._kept[key][1]
+
+
 def _pin(series: ReachSeries, S: HybridZonotope, t: int, block: int) -> HybridZonotope:
     """Pin one block of the step-t pair set to S and keep the other block."""
-    selectors = np.split(np.eye(2 * series.model.state_dim), 2)  # [I 0], [0 I]
-    pinned = series.pair_set(t).generalized_intersect(S, selectors[block])
-    return pinned.affine_map(selectors[1 - block])
+    def build():
+        selectors = np.split(np.eye(2 * series.model.state_dim), 2)  # [I 0], [0 I]
+        pinned = series.pair_set(t).generalized_intersect(S, selectors[block])
+        return pinned.affine_map(selectors[1 - block])
+    return _kept(series, (block, t, id(S)), (S,), build)
+
+
+def meet(series: ReachSeries, X1: HybridZonotope, S: HybridZonotope) -> HybridZonotope:
+    """The states of X1 in S, ``X1.generalized_intersect(S)``: the step-1
+    counterpart of ``frs`` and ``brs``, kept with the series like them."""
+    return _kept(series, ("meet", id(X1), id(S)), (X1, S),
+                 lambda: X1.generalized_intersect(S))
 
 
 def frs(series: ReachSeries, X1: HybridZonotope, t: int) -> HybridZonotope:

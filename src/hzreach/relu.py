@@ -118,20 +118,38 @@ def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
     ``ivs`` must be a sound enclosure of Z's coordinate ranges.  The returned
     graph lives in R^(2m) with coordinates (inputs..., outputs...) and equals,
     as a set, the generalized intersection of the vector graph with Z under
-    the input selector; the output is its projection onto the output block.
-    When every label is exact the output equals the elementwise ReLU image of
-    Z exactly.
+    the input selector; the output is its projection onto the output block
+    (``relu_layer_output``).  When every label is exact the output equals the
+    elementwise ReLU image of Z exactly.
 
-    Internally the graph extends Z's factor space in place of forming the
-    block intersection: stable coordinates pass through affinely and each
+    Returns:
+        (graph, output) as hybrid zonotopes sharing Z's leading factors.
+    """
+    Gc, Gb, c, Ac, Ab, rhs = _output_blocks(Z, ivs, labels)
+    graph = HybridZonotope(
+        np.vstack([np.hstack([Z.Gc, np.zeros((Z.dim, Gc.shape[1] - Z.n_g))]), Gc]),
+        np.vstack([np.hstack([Z.Gb, np.zeros((Z.dim, Gb.shape[1] - Z.n_b))]), Gb]),
+        np.concatenate([Z.c, c]), Ac, Ab, rhs)
+    return graph, HybridZonotope(Gc, Gb, c, Ac, Ab, rhs)
+
+
+def relu_layer_output(Z: HybridZonotope, ivs: list[NeuronInterval],
+                      labels: list[ReluLabel]) -> HybridZonotope:
+    """The output of ``relu_layer_graph(Z, ivs, labels)``, built without the
+    graph: the ReLU image of Z, exact when every label is exact."""
+    return HybridZonotope(*_output_blocks(Z, ivs, labels))
+
+
+def _output_blocks(Z: HybridZonotope, ivs: list[NeuronInterval], labels: list[ReluLabel]):
+    """Blocks (Gc, Gb, c, Ac, Ab, b) of the ReLU layer's output over Z.
+
+    The output extends Z's factor space in place of forming the block
+    intersection: stable coordinates pass through affinely and each
     unstable unit appends 4 continuous factors, 1 binary (or a 5th continuous
     factor when relaxed) and 3 constraint rows (two gates plus the row tying
     the unit's input parameterization to Z's coordinate expression), so the
     added complexity is exactly (4, 1, 3) per exact and (5, 0, 3) per relaxed
     unstable unit.
-
-    Returns:
-        (graph, output) as hybrid zonotopes sharing Z's leading factors.
     """
     m = Z.dim
     if len(ivs) != m or len(labels) != m:
@@ -143,12 +161,9 @@ def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
     new_g = 4 * len(unstable) + n_relaxed
     new_b = n_exact
 
-    Gc = np.zeros((2 * m, ng + new_g))
-    Gb = np.zeros((2 * m, nb + new_b))
-    c = np.zeros(2 * m)
-    Gc[:m, :ng] = Z.Gc
-    Gb[:m, :nb] = Z.Gb
-    c[:m] = Z.c
+    Gc = np.zeros((m, ng + new_g))
+    Gb = np.zeros((m, nb + new_b))
+    c = np.zeros(m)
 
     # Column offsets of each unstable unit's new factors.
     cont_col = ng
@@ -171,12 +186,10 @@ def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
 
     # Output rows for stable coordinates.
     for i in range(m):
-        if ivs[i].is_unstable:
-            continue
         if ivs[i].is_stable_positive:
-            Gc[m + i, :ng] = Z.Gc[i]
-            Gb[m + i, :nb] = Z.Gb[i]
-            c[m + i] = Z.c[i]
+            Gc[i, :ng] = Z.Gc[i]
+            Gb[i, :nb] = Z.Gb[i]
+            c[i] = Z.c[i]
         # stable negative: output row stays zero
 
     # Gating rows first (two per unit, in unit order), then the tie rows,
@@ -184,8 +197,8 @@ def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
     row = nc
     for (i, iv, lab), (p0, sig) in zip(unstable, cols):
         p, q, s1, s2 = p0, p0 + 1, p0 + 2, p0 + 3
-        Gc[m + i, q] = iv.beta / 2.0
-        c[m + i] = iv.beta / 2.0
+        Gc[i, q] = iv.beta / 2.0
+        c[i] = iv.beta / 2.0
         Ac[row, p], Ac[row, s1] = 1.0, -1.0
         Ac[row + 1, q], Ac[row + 1, s2] = 1.0, -1.0
         if lab is ReluLabel.RELAXED:
@@ -204,7 +217,4 @@ def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
         Ac[tie, p0 + 1] = iv.beta / 2.0
         rhs[tie] = Z.c[i] - (iv.alpha + iv.beta) / 2.0
         tie += 1
-
-    graph = HybridZonotope(Gc, Gb, c, Ac, Ab, rhs)
-    output = HybridZonotope(Gc[m:], Gb[m:], c[m:], Ac, Ab, rhs)
-    return graph, output
+    return Gc, Gb, c, Ac, Ab, rhs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptySeedError
 from .model import simulate
-from .reach import ReachSeries, brs, frs
+from .reach import ReachSeries, brs, frs, meet
 from .sets import HybridZonotope
 
 WITNESS_TOL = 1e-6
@@ -94,9 +94,10 @@ def _verdict(series, unsafe, candidates: dict, seed):
                          time.perf_counter() - start)
 
 
-def _initial_overlap(X1: HybridZonotope, unsafe: HybridZonotope, seed: int):
+def _initial_overlap(series: ReachSeries, X1: HybridZonotope, unsafe: HybridZonotope,
+                     seed: int):
     """Unsafe-at-step-1 verdict when the initial set already meets the unsafe set."""
-    overlap = X1.generalized_intersect(unsafe)
+    overlap = meet(series, X1, unsafe)
     if overlap.is_empty():
         return None
     witness = overlap.sample_points(1, seed)[0]
@@ -114,7 +115,7 @@ def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
     confirmed trajectory gives Unsafe with that witness, no confirmation
     gives Unknown.
     """
-    early = _initial_overlap(series.domain, unsafe, seed)
+    early = _initial_overlap(series, series.domain, unsafe, seed)
     if early is not None:
         return early
     candidates = {t: brs(series, unsafe, t) for t in range(2, series.horizon + 1)}
@@ -128,7 +129,7 @@ def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
     Checks emptiness of BRS_t(unsafe) intersected with X1 for t = 2..T, the
     series' horizon; on exact plans the verdict agrees with the forward route.
     """
-    early = _initial_overlap(X1, unsafe, seed)
+    early = _initial_overlap(series, X1, unsafe, seed)
     if early is not None:
         return early
     candidates = {t: brs(series, unsafe, t).generalized_intersect(X1)

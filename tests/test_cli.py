@@ -4,13 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, lp_solve,
-                     save_model)
+from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, exact_plan,
+                     frs, lp_solve, propagate_intervals, rank_unstable, save_model, simulate,
+                     state_pairs, verify_backward, verify_forward)
 from hzreach.cli import main
+from hzreach.lp import LpSession
 from hzreach.projection import emit_projection, write_points_csv, write_svg
 from hzreach.sets import FiberLp
 from hzreach.relu import graph_triangle
-from hzreach.systems import gate_system, half_system
+from hzreach.systems import demo_initial_box, demo_system, gate_system, half_system
 
 from conftest import box, distance_to_convex_polygon, polygon_area
 
@@ -71,6 +73,29 @@ def test_thin_fiber_polygon_has_few_vertices():
     assert len(poly) <= 4
     for s in np.linspace(0.0, 0.032, 9):
         assert distance_to_convex_polygon([s, 0.0], poly) <= 1e-6
+
+
+def _turns(poly: np.ndarray) -> np.ndarray:
+    """The angle in [0, pi] by which the boundary turns at each vertex: pi at
+    the ends of a segment, 0 at a vertex inside the segment joining its
+    neighbours."""
+    into = poly - np.roll(poly, 1, axis=0)
+    out = np.roll(into, -1, axis=0)
+    cross = into[:, 0] * out[:, 1] - into[:, 1] * out[:, 0]
+    return np.abs(np.arctan2(cross, np.sum(into * out, axis=1)))
+
+
+def test_projection_vertices_all_turn():
+    # FRS_2 of [0,1]x[0.6,1] over the unit square: start maximizers used to
+    # stay as vertices inside the edges of its fibers, flat ones included
+    m = demo_system()
+    X = box([0.0, 0.0], [1.0, 1.0])
+    tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 2)
+    series = state_pairs(m, X, 2, exact_plan(tbl), table=tbl)
+    polys = emit_projection(frs(series, box([0.0, 0.6], [1.0, 1.0]), 2), (0, 1), 16)
+    assert any(len(p) == 2 for p in polys) and any(len(p) > 2 for p in polys)
+    for poly in polys:
+        assert np.all(_turns(poly) > 1e-9)
 
 
 def test_projection_of_empty_set_raises():
@@ -327,6 +352,92 @@ def test_verify_unknown_exit_code(planar_files, tmp_path):
     assert code == 3
     report = json.loads((tmp_path / "v" / "verdict.json").read_text())
     assert report["status"] == "unknown"
+
+
+def _two_series_report(model, path, unsafe, T, nb, seed=0):
+    """verdict.json of ``verify`` (timings dropped) as the forward and the
+    backward route give it on two series, each built from its own load of
+    the set file at ``path`` (domain and initial set alike)."""
+    X1, X = HybridZonotope.load(path), HybridZonotope.load(path)
+
+    def series(dom):
+        tbl = propagate_intervals(model, dom.interval_hull("generator_relaxed"), T)
+        plan = rank_unstable(tbl, len(tbl.unstable_index()) if nb is None else nb)
+        return state_pairs(model, dom, T, plan, table=tbl)
+
+    fwd_series, bwd_series = series(X1), series(X)
+    fwd = verify_forward(fwd_series, unsafe, seed=seed).to_json_dict()
+    bwd = verify_backward(bwd_series, unsafe, X1, seed=seed).to_json_dict()
+    statuses = (fwd["status"], bwd["status"])
+    status = "unsafe" if "unsafe" in statuses else "safe" if "safe" in statuses else "unknown"
+    return {
+        "status": status, "forward": fwd, "backward": bwd,
+        "complexity": {route: [{"t": t, "pair": list(s.pair_set(t).complexity.astuple())}
+                               for t in range(2, T + 1)]
+                       for route, s in (("forward", fwd_series), ("backward", bwd_series))},
+        "binary_limit": fwd_series.plan.binary_limit, "horizon": T,
+    }
+
+
+def _drop_timings(report: dict) -> dict:
+    for route in ("forward", "backward"):
+        del report[route]["timing_seconds"]
+    return report
+
+
+def _shared_verify_argv(tmp_path, model, lo, hi, unsafe, T) -> list:
+    """``verify`` arguments on files written to tmp_path, with a domain file
+    equal to the initial file, the box [lo, hi]."""
+    save_model(model, tmp_path / "model.json")
+    box(lo, hi).save(tmp_path / "initial.json")
+    box(lo, hi).save(tmp_path / "domain.json")
+    unsafe.save(tmp_path / "unsafe.json")
+    return ["verify", "--model", str(tmp_path / "model.json"),
+            "--domain", str(tmp_path / "domain.json"),
+            "--initial", str(tmp_path / "initial.json"),
+            "--unsafe", str(tmp_path / "unsafe.json"), "-T", str(T), "--out", str(tmp_path / "v")]
+
+
+def _demo_hit_box() -> HybridZonotope:
+    """A box about the step-3 state of a demo trajectory from its initial box."""
+    x3 = simulate(demo_system(), np.array([0.45, 0.4]), 3).states[2]
+    return box(x3 - 0.01, x3 + 0.01)
+
+
+@pytest.mark.parametrize("system, nb", [("half", None), ("half", 0), ("demo", None),
+                                        ("demo", 2)])
+def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, nb):
+    # a domain file equal to the initial file lets both routes share one
+    # series; the report must be the one of two separately built series
+    if system == "half":
+        model, T, lo, hi, unsafe = half_system(), 5, [0.0], [1.0], box([0.2], [0.21])
+    else:
+        model, T, (lo, hi), unsafe = demo_system(), 3, demo_initial_box(), _demo_hit_box()
+    argv = _shared_verify_argv(tmp_path, model, lo, hi, unsafe, T)
+    code = main(argv + ([] if nb is None else ["--nb", str(nb)]))
+    report = json.loads((tmp_path / "v" / "verdict.json").read_text())
+    expected = _two_series_report(model, tmp_path / "initial.json", unsafe, T, nb)
+    assert _drop_timings(report) == _drop_timings(expected)
+    assert code == {"safe": 0, "unsafe": 2, "unknown": 3}[report["status"]]
+    if nb is None:
+        assert report["status"] == "unsafe"
+
+
+def test_demo_hit_verify_shares_its_lps(tmp_path, monkeypatch):
+    # on the demo box as domain and initial set, a box hit at step 3 costs
+    # one series, and the backward route tests only the leaves that the
+    # forward route found: 44 LPs, where two series and root searches took 76
+    solves = []
+    solve = LpSession.solve
+
+    def counted(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpSession, "solve", counted)
+    argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(), _demo_hit_box(), 5)
+    assert main(argv) == 2
+    assert len(solves) <= 45
 
 
 def test_missing_file_exits_nonzero(tmp_path):

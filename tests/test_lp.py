@@ -103,6 +103,7 @@ def test_milp_matches_enumeration_oracle():
         every = [np.array(xb) for xb in itertools.product((-1.0, 1.0), repeat=nb)]
         assert ([xb.tolist() for xb in enumerate_binary_leaves(p, candidates=every)]
                 == [xb.tolist() for xb in enumerate_binary_leaves(p)])
+        assert enumerate_binary_leaves(p, candidates=[]) == []
         assert res.status is status
         if status is SolveStatus.OPTIMAL:
             assert res.objective == pytest.approx(obj, abs=1e-7)
