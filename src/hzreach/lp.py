@@ -7,8 +7,11 @@ to the two values -1 and +1.  The LPs are delegated to HiGHS via scipy,
 which returns vertex-optimal basic solutions deterministically.
 
 ``enumerate_binary_leaves`` is the one search over binaries: it lists every
-complete assignment whose pinned LP is feasible.  A MILP is then the best
-pinned LP over those leaves (``milp_solve``).
+complete assignment whose pinned LP is feasible.  It branches on the most
+fractional free binary, lets a child that its parent's LP solution already
+satisfies skip its own LP, and returns the leaves in lexicographic order
+(-1 first) whatever order it found them in.  A MILP is then the best pinned
+LP over those leaves (``milp_solve``).
 
 Within one query the constraint rows never change, only the costs (samples,
 support and projection directions) or the column bounds (search nodes,
@@ -279,42 +282,51 @@ def pinned_bounds(p: MilpProblem, xb: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000,
                             candidates: Sequence[np.ndarray] | None = None
                             ) -> list[np.ndarray]:
-    """All complete {-1,+1} assignments whose fixed-binary LP is feasible.
+    """All complete {-1,+1} assignments whose fixed-binary LP is feasible,
+    in lexicographic order with -1 first, whatever order they were found in.
 
-    Depth-first in index order with the -1 branch first, pruning subtrees
-    whose LP relaxation is already infeasible; the returned order is
-    deterministic.  The objective of ``p`` is ignored.  Given
-    ``candidates``, complete assignments in that search order known to
-    include every feasible one, the search starts from them instead of the
-    root: one pinned LP each, with the same order of the leaves found.
+    Depth-first, pruning subtrees whose LP relaxation is infeasible.  Each
+    feasible node branches on the free binary whose LP value is nearest 0
+    (most fractional; the lowest index on ties), the -1 branch first.  A
+    child inherits its parent's LP solution as a witness when that solution
+    already takes the child's pinned value exactly; such a child, a leaf
+    included, is feasible without an LP of its own.  The objective of ``p``
+    is ignored.  Given ``candidates``, complete assignments known to include
+    every feasible one, the search starts from them instead of the root:
+    one pinned LP each.
 
     Raises:
         RuntimeError: once more than ``limit`` leaves are found, so work on a
             set with exponentially many leaves stays bounded.
     """
-    binaries = p.binary_index
+    binaries = np.array(p.binary_index, dtype=int)
     leaves: list[np.ndarray] = []
     if candidates is None:
-        stack = [(p.lp.lb.copy(), p.lp.ub.copy())]
+        stack = [(p.lp.lb.copy(), p.lp.ub.copy(), None)]
     else:
-        stack = [pinned_bounds(p, xb) for xb in reversed(candidates)]
+        stack = [(*pinned_bounds(p, xb), None) for xb in reversed(candidates)]
     if not stack:  # no candidate: no leaf, and no LP to pass to the solver
         return leaves
     session = LpSession(LpProblem(np.zeros(p.lp.num_vars), p.lp.A, p.lp.b,
                                   p.lp.lb, p.lp.ub))
     while stack:
-        lb, ub = stack.pop()
-        if not session.solve(lb=lb, ub=ub).is_optimal:
-            continue
-        i = next((j for j in binaries if lb[j] != ub[j]), None)
-        if i is None:
-            leaves.append(lb[list(binaries)])
+        lb, ub, x = stack.pop()
+        if x is None:
+            res = session.solve(lb=lb, ub=ub)
+            if not res.is_optimal:
+                continue
+            x = res.x
+        free = binaries[lb[binaries] != ub[binaries]]
+        if not free.size:
+            leaves.append(lb[binaries])
             if len(leaves) > limit:
                 raise RuntimeError(f"more than {limit} feasible binary assignments "
                                    f"(stopped at {len(leaves)})")
             continue
+        i = free[np.argmin(np.abs(x[free]))]
         for v in (1.0, -1.0):
             lb2, ub2 = lb.copy(), ub.copy()
             lb2[i] = ub2[i] = v
-            stack.append((lb2, ub2))
+            stack.append((lb2, ub2, x if x[i] == v else None))
+    leaves.sort(key=lambda xb: xb.tolist())
     return leaves

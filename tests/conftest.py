@@ -7,6 +7,7 @@ import pytest
 
 from hzreach import (ClosedLoopRnn, HybridZonotope, LpProblem, RnnLayer,
                      SolveStatus, lp_solve)
+from hzreach.lp import LpSession, pinned_bounds
 from hzreach.systems import gate_system, half_system
 
 
@@ -50,6 +51,19 @@ def random_hz(rng, dim=2, n_g=3, n_b=2, n_c=2, scale=1.0) -> HybridZonotope:
     Ab = rng.normal(size=(n_c, n_b))
     b = Ac @ xi_c + Ab @ xi_b
     return HybridZonotope(Gc, Gb, c, Ac, Ab, b)
+
+
+def mixed_hz(rng, dim: int, n_g: int, side: float, delta: float) -> HybridZonotope:
+    """A random set with one row and two leaves: its row holds exactly in
+    one leaf and, pushed ``delta`` past the range of its continuous part on
+    the ``side`` end, only within ``delta`` in the other."""
+    a = rng.normal(size=n_g)
+    reach = np.abs(a).sum()
+    exact, grazing = rng.uniform(-0.9, 0.9) * reach, side * (reach + delta)
+    xb = rng.choice([-1.0, 1.0])  # the grazing leaf
+    return HybridZonotope(rng.normal(size=(dim, n_g)), rng.normal(size=(dim, 1)),
+                          rng.normal(size=dim), [a], [[xb * (exact - grazing) / 2]],
+                          [(exact + grazing) / 2])
 
 
 def random_system(rng, n=None, L=None, max_width=4, gain=0.7):
@@ -103,6 +117,37 @@ def milp_by_enumeration(p):
             if best_obj is None or res.objective < best_obj:
                 best_obj, best_x = res.objective, res.x
     return best_status, best_obj, best_x
+
+
+def leaves_one_by_one(p) -> list:
+    """Exhaustive leaf oracle: every {-1,+1} assignment of the binaries of
+    ``p`` whose pinned LP is feasible, each solved by ``lp_solve``, listed
+    lexicographically with -1 first."""
+    return [list(xb) for xb in itertools.product((-1.0, 1.0), repeat=len(p.binary_index))
+            if lp_solve(LpProblem(p.lp.c, p.lp.A, p.lp.b,
+                                  *pinned_bounds(p, np.array(xb)))).is_optimal]
+
+
+def leaves_in_index_order(p) -> list:
+    """Depth-first leaf search that branches on the lowest-index free binary,
+    the -1 branch first, and prunes infeasible relaxations: its leaves come
+    out in lexicographic order."""
+    binaries = list(p.binary_index)
+    session = LpSession(LpProblem(np.zeros(p.lp.num_vars), p.lp.A, p.lp.b, p.lp.lb, p.lp.ub))
+    leaves, stack = [], [(p.lp.lb.copy(), p.lp.ub.copy())]
+    while stack:
+        lb, ub = stack.pop()
+        if not session.solve(lb=lb, ub=ub).is_optimal:
+            continue
+        i = next((j for j in binaries if lb[j] != ub[j]), None)
+        if i is None:
+            leaves.append(lb[binaries].tolist())
+            continue
+        for v in (1.0, -1.0):
+            lb2, ub2 = lb.copy(), ub.copy()
+            lb2[i] = ub2[i] = v
+            stack.append((lb2, ub2))
+    return leaves
 
 
 def membership_predicate(Z, Y, R, x, tol=1e-7):

@@ -385,17 +385,34 @@ def _drop_timings(report: dict) -> dict:
     return report
 
 
-def _shared_verify_argv(tmp_path, model, lo, hi, unsafe, T) -> list:
-    """``verify`` arguments on files written to tmp_path, with a domain file
-    equal to the initial file, the box [lo, hi]."""
+def _verify_argv(tmp_path, model, domain, initial, unsafe, T) -> list:
+    """``verify`` arguments on the given sets, written to tmp_path."""
     save_model(model, tmp_path / "model.json")
-    box(lo, hi).save(tmp_path / "initial.json")
-    box(lo, hi).save(tmp_path / "domain.json")
-    unsafe.save(tmp_path / "unsafe.json")
+    for name, Z in (("domain", domain), ("initial", initial), ("unsafe", unsafe)):
+        Z.save(tmp_path / f"{name}.json")
     return ["verify", "--model", str(tmp_path / "model.json"),
             "--domain", str(tmp_path / "domain.json"),
             "--initial", str(tmp_path / "initial.json"),
             "--unsafe", str(tmp_path / "unsafe.json"), "-T", str(T), "--out", str(tmp_path / "v")]
+
+
+def _shared_verify_argv(tmp_path, model, lo, hi, unsafe, T) -> list:
+    """``verify`` arguments with a domain file equal to the initial file,
+    the box [lo, hi]."""
+    return _verify_argv(tmp_path, model, box(lo, hi), box(lo, hi), unsafe, T)
+
+
+def _counted_solves(monkeypatch) -> list:
+    """Patch LpSession.solve to count its calls; the list it appends to."""
+    solves = []
+    solve = LpSession.solve
+
+    def counted(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpSession, "solve", counted)
+    return solves
 
 
 def _demo_hit_box() -> HybridZonotope:
@@ -427,17 +444,23 @@ def test_demo_hit_verify_shares_its_lps(tmp_path, monkeypatch):
     # on the demo box as domain and initial set, a box hit at step 3 costs
     # one series, and the backward route tests only the leaves that the
     # forward route found: 44 LPs, where two series and root searches took 76
-    solves = []
-    solve = LpSession.solve
-
-    def counted(self, *args, **kwargs):
-        solves.append(1)
-        return solve(self, *args, **kwargs)
-
-    monkeypatch.setattr(LpSession, "solve", counted)
+    solves = _counted_solves(monkeypatch)
     argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(), _demo_hit_box(), 5)
     assert main(argv) == 2
     assert len(solves) <= 45
+
+
+def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypatch):
+    # the demo model on the unit square from its upper band, a box hit at
+    # step 3: the routes' leaf searches prove BRS_3 and FRS_3 sets empty or
+    # not, and branching on the most fractional binary prunes near the root
+    # where index order pruned only deep in the tree: 130 LPs, 231 in index order
+    solves = _counted_solves(monkeypatch)
+    x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
+    argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
+                        box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
+    assert main(argv) == 2
+    assert len(solves) <= 130
 
 
 def test_missing_file_exits_nonzero(tmp_path):

@@ -1,13 +1,19 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csc_array
 
-from hzreach import LpProblem, MilpProblem, SolveStatus, lp_solve, milp_solve
+from hzreach import (FEAS_TOL, LpProblem, MilpProblem, SolveStatus, brs, lp_solve, milp_solve,
+                     propagate_intervals, rank_unstable, simulate, state_pairs)
 from hzreach.lp import LpSession, column_wise, enumerate_binary_leaves
+from hzreach.systems import demo_system
 
-from conftest import milp_by_enumeration
+from conftest import (box, leaves_in_index_order, leaves_one_by_one, milp_by_enumeration,
+                      mixed_hz, random_hz)
 
 
 def _lp(c, A, b, n=None):
@@ -98,8 +104,8 @@ def test_milp_matches_enumeration_oracle():
         res = milp_solve(p)
         status, obj, _ = milp_by_enumeration(p)
         statuses.append(status)
-        # started from every assignment, in search order, the search finds
-        # the same leaves in the same order
+        # started from every assignment, the search finds the same leaves
+        # in the same order
         every = [np.array(xb) for xb in itertools.product((-1.0, 1.0), repeat=nb)]
         assert ([xb.tolist() for xb in enumerate_binary_leaves(p, candidates=every)]
                 == [xb.tolist() for xb in enumerate_binary_leaves(p)])
@@ -136,6 +142,43 @@ def test_milp_deterministic():
         assert again.status is first.status
         assert np.array_equal(again.x, first.x)
         assert again.objective == first.objective
+
+
+# -- the leaf search against assignment-by-assignment and index-order oracles
+
+@functools.cache
+def _unit_square_series(n_b: int):
+    """The demo model's series over the unit square, T=3, with the ``n_b``
+    top-ranked of its 10 unstable units exact: its BRS_t sets carry up to
+    ``n_b`` binaries."""
+    m, X = demo_system(0), box([0.0, 0.0], [1.0, 1.0])
+    tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 3)
+    return state_pairs(m, X, 3, rank_unstable(tbl, n_b), table=tbl)
+
+
+@pytest.mark.parametrize("source", ["random", "mixed", "brs"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_g=st.integers(1, 4), n_b=st.integers(1, 6),
+       n_c=st.integers(1, 3), side=st.sampled_from([-1.0, 1.0]),
+       delta=st.floats(0.0, FEAS_TOL / 2), t=st.integers(2, 3),
+       x1=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), radius=st.floats(0.02, 0.3))
+def test_root_search_leaves_match_oracles_in_order(source, seed, n_g, n_b, n_c, side, delta,
+                                                   t, x1, radius):
+    # whatever binary it branches on, the root search returns the assignments
+    # whose pinned FEAS_TOL-slack LP is feasible, lexicographically, as the
+    # index-order depth-first search found them
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        Z = random_hz(rng, n_g=n_g, n_b=n_b, n_c=n_c)
+    elif source == "mixed":
+        Z = mixed_hz(rng, 2, n_g, side, delta)
+    else:  # a target about the step-t state of a trajectory from x1
+        xt = simulate(demo_system(0), np.array(x1), t).states[t - 1]
+        Z = brs(_unit_square_series(n_b + 2), box(xt - radius, xt + radius), t)
+    p = Z._milp(slack=FEAS_TOL)
+    leaves = [xb.tolist() for xb in enumerate_binary_leaves(p)]
+    assert leaves == leaves_one_by_one(p)
+    assert leaves == leaves_in_index_order(p)
 
 
 # -- warm-started sessions against the one-shot reference -------------------

@@ -14,7 +14,7 @@ from hzreach.sets import FiberLp
 
 from hzreach.projection import emit_projection
 
-from conftest import box, membership_predicate, random_hz, unit_directions
+from conftest import box, membership_predicate, mixed_hz, random_hz, unit_directions
 
 DATA = Path(__file__).parent / "data"
 
@@ -320,19 +320,6 @@ def _grazed(Z: HybridZonotope, row: int, side: float, delta: float) -> HybridZon
     return HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, b)
 
 
-def _mixed(rng, dim: int, n_g: int, side: float, delta: float) -> HybridZonotope:
-    """A random set with one row and two leaves: its row holds exactly in
-    one leaf and, pushed ``delta`` past the range of its continuous part on
-    the ``side`` end, only within ``delta`` in the other."""
-    a = rng.normal(size=n_g)
-    reach = np.abs(a).sum()
-    exact, grazing = rng.uniform(-0.9, 0.9) * reach, side * (reach + delta)
-    xb = rng.choice([-1.0, 1.0])  # the grazing leaf
-    return HybridZonotope(rng.normal(size=(dim, n_g)), rng.normal(size=(dim, 1)),
-                          rng.normal(size=dim), [a], [[xb * (exact - grazing) / 2]],
-                          [(exact + grazing) / 2])
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["random", "grazed", "mixed"]),
        dim=st.integers(2, 3), n_g=st.integers(2, 4), n_b=st.integers(0, 2),
@@ -346,7 +333,7 @@ def test_queries_of_nonempty_sets_succeed_and_samples_lie_in_hull(seed, source, 
     # in samples and projections, also beside a leaf that holds them exactly
     rng = np.random.default_rng(seed)
     if source == "mixed":
-        Z = _mixed(rng, dim, n_g, side, delta)
+        Z = mixed_hz(rng, dim, n_g, side, delta)
         assert len(Z.feasible_binary_assignments()) == 2
     else:
         Z = random_hz(rng, dim=dim, n_g=n_g, n_b=n_b, n_c=n_c)
