@@ -127,13 +127,16 @@ def cmd_verify(args) -> int:
 
     fwd_series = _build_series(model, initial, args)
     fwd = verify_forward(fwd_series, unsafe, seed=args.seed)
-    # A domain equal to the initial set builds the same series: the backward
-    # route then reuses it, and with it the leaves of the BRS_t just checked.
-    if _same_data(domain, initial):
-        bwd_series = fwd_series
+    # A domain equal to the initial set builds the same series, whose BRS_t
+    # lie in the initial set: the backward route would test the very sets
+    # just checked, so the forward verdict stands for both.  Only an Unknown
+    # one sends the backward route's own witness search over the series.
+    shared = _same_data(domain, initial)
+    bwd_series = fwd_series if shared else _build_series(model, domain, args)
+    if shared and fwd.status is not Safety.UNKNOWN:
+        bwd = fwd
     else:
-        bwd_series = _build_series(model, domain, args)
-    bwd = verify_backward(bwd_series, unsafe, initial, seed=args.seed)
+        bwd = verify_backward(bwd_series, unsafe, initial, seed=args.seed)
 
     if Safety.UNSAFE in (fwd.status, bwd.status):
         status = Safety.UNSAFE

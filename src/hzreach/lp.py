@@ -44,6 +44,10 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
+# Most feasible leaves one enumeration lists before it gives up, so work on a
+# set with exponentially many leaves stays bounded.
+LEAF_LIMIT = 100_000
+
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
@@ -279,7 +283,7 @@ def pinned_bounds(p: MilpProblem, xb: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lb, ub
 
 
-def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000,
+def enumerate_binary_leaves(p: MilpProblem,
                             candidates: Sequence[np.ndarray] | None = None
                             ) -> list[np.ndarray]:
     """All complete {-1,+1} assignments whose fixed-binary LP is feasible,
@@ -296,8 +300,7 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000,
     one pinned LP each.
 
     Raises:
-        RuntimeError: once more than ``limit`` leaves are found, so work on a
-            set with exponentially many leaves stays bounded.
+        RuntimeError: once more than ``LEAF_LIMIT`` leaves are found.
     """
     binaries = np.array(p.binary_index, dtype=int)
     leaves: list[np.ndarray] = []
@@ -319,8 +322,8 @@ def enumerate_binary_leaves(p: MilpProblem, limit: int = 100_000,
         free = binaries[lb[binaries] != ub[binaries]]
         if not free.size:
             leaves.append(lb[binaries])
-            if len(leaves) > limit:
-                raise RuntimeError(f"more than {limit} feasible binary assignments "
+            if len(leaves) > LEAF_LIMIT:
+                raise RuntimeError(f"more than {LEAF_LIMIT} feasible binary assignments "
                                    f"(stopped at {len(leaves)})")
             continue
         i = free[np.argmin(np.abs(x[free]))]

@@ -14,7 +14,7 @@ replaced by their convex triangle, trading tightness for complexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,10 +96,11 @@ class ReachSeries:
     """Per-step pair sets plus everything needed to extract FRSs and BRSs.
 
     ``pairs[t]`` is the step-t pair set: the pairs (x_1, x_t) in R^(2n),
-    initial-state block first, then the step-t block.  The sets that ``frs``,
-    ``brs`` and ``meet`` build on this series are kept with it, so asking
-    again with the same set objects and step returns the same set, its
-    cached leaves included.
+    initial-state block first, then the step-t block.  ``frs`` and ``brs``
+    build their set anew on every call.  On a series built over the initial
+    set itself every BRS_t lies in that set, so both safety conditions test
+    the same sets: ``verify`` then runs the forward route alone, and the
+    backward route only after an Unknown forward verdict.
     """
 
     model: ClosedLoopRnn
@@ -108,9 +109,6 @@ class ReachSeries:
     plan: RelaxationPlan
     table: BoundsTable
     hull_mode: str
-    # query key -> (operand sets, built set); the operands are held so that
-    # the ids in the key stay theirs
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
@@ -194,27 +192,11 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
     return ReachSeries(m, X, pairs, plan, table, hull_mode)
 
 
-def _kept(series: ReachSeries, key: tuple, operands: tuple, build) -> HybridZonotope:
-    """``build()``, run once per series and key."""
-    if key not in series._kept:
-        series._kept[key] = (operands, build())
-    return series._kept[key][1]
-
-
 def _pin(series: ReachSeries, S: HybridZonotope, t: int, block: int) -> HybridZonotope:
     """Pin one block of the step-t pair set to S and keep the other block."""
-    def build():
-        selectors = np.split(np.eye(2 * series.model.state_dim), 2)  # [I 0], [0 I]
-        pinned = series.pair_set(t).generalized_intersect(S, selectors[block])
-        return pinned.affine_map(selectors[1 - block])
-    return _kept(series, (block, t, id(S)), (S,), build)
-
-
-def meet(series: ReachSeries, X1: HybridZonotope, S: HybridZonotope) -> HybridZonotope:
-    """The states of X1 in S, ``X1.generalized_intersect(S)``: the step-1
-    counterpart of ``frs`` and ``brs``, kept with the series like them."""
-    return _kept(series, ("meet", id(X1), id(S)), (X1, S),
-                 lambda: X1.generalized_intersect(S))
+    selectors = np.split(np.eye(2 * series.model.state_dim), 2)  # [I 0], [0 I]
+    pinned = series.pair_set(t).generalized_intersect(S, selectors[block])
+    return pinned.affine_map(selectors[1 - block])
 
 
 def frs(series: ReachSeries, X1: HybridZonotope, t: int) -> HybridZonotope:

@@ -287,11 +287,10 @@ class HybridZonotope:
         binaries = tuple(range(self.n_g, self.n_g + self.n_b))
         return MilpProblem(LpProblem(np.zeros(lb.size), A, rhs, lb, ub), binaries)
 
-    def _enumerate(self, p: MilpProblem, limit: int = 100_000,
-                   candidates: tuple | None = None) -> list[np.ndarray]:
+    def _enumerate(self, p: MilpProblem, candidates: tuple | None = None) -> list[np.ndarray]:
         """``enumerate_binary_leaves``, naming this set in its errors."""
         try:
-            return enumerate_binary_leaves(p, limit, candidates)
+            return enumerate_binary_leaves(p, candidates)
         except RuntimeError as err:
             raise RuntimeError(f"{self!r}: {err}") from err
 
@@ -359,7 +358,7 @@ class HybridZonotope:
         fibers = FiberLp(self)
         return np.vstack([fibers.maximizers(xb, dirs) for xb in leaves])
 
-    def feasible_binary_assignments(self, limit: int = 100_000) -> list[np.ndarray]:
+    def feasible_binary_assignments(self) -> list[np.ndarray]:
         """All {-1,+1} assignments of the binary factors admitting feasible xc.
 
         The enumeration runs once per set; later calls return the cached,
@@ -367,17 +366,14 @@ class HybridZonotope:
         binary-free operand tests only the cached leaves of the other one.
 
         Raises:
-            RuntimeError: if the set has more than ``limit`` leaves.
+            RuntimeError: if the set has more than ``hzreach.lp.LEAF_LIMIT``
+                leaves.
         """
         if self._leaves is None:
-            leaves = self._enumerate(self._milp(slack=FEAS_TOL), limit,
-                                     self._leaf_candidates)
+            leaves = self._enumerate(self._milp(slack=FEAS_TOL), self._leaf_candidates)
             for xb in leaves:
                 xb.setflags(write=False)
             object.__setattr__(self, "_leaves", tuple(leaves))
-        if len(self._leaves) > limit:
-            raise RuntimeError(f"{self!r}: more than {limit} feasible binary assignments "
-                               f"({len(self._leaves)} found)")
         return list(self._leaves)
 
     def sample_points(self, k: int, seed: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptySeedError
 from .model import simulate
-from .reach import ReachSeries, brs, frs, meet
+from .reach import ReachSeries, brs, frs
 from .sets import HybridZonotope
 
 WITNESS_TOL = 1e-6
@@ -94,10 +94,9 @@ def _verdict(series, unsafe, candidates: dict, seed):
                          time.perf_counter() - start)
 
 
-def _initial_overlap(series: ReachSeries, X1: HybridZonotope, unsafe: HybridZonotope,
-                     seed: int):
+def _initial_overlap(X1: HybridZonotope, unsafe: HybridZonotope, seed: int):
     """Unsafe-at-step-1 verdict when the initial set already meets the unsafe set."""
-    overlap = meet(series, X1, unsafe)
+    overlap = X1.generalized_intersect(unsafe)
     if overlap.is_empty():
         return None
     witness = overlap.sample_points(1, seed)[0]
@@ -113,9 +112,12 @@ def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
     BRS of the unsafe region over this series is.  All empty means Safe.
     Otherwise initial states from that BRS are sampled and simulated; a
     confirmed trajectory gives Unsafe with that witness, no confirmation
-    gives Unknown.
+    gives Unknown.  These BRS_t lie in the series domain, so on this series
+    ``verify_backward`` tests the same sets and finds the same evidence: a
+    Safe verdict here is the backward one too, and an Unsafe one's witnesses
+    confirm the backward condition's overlap as well.
     """
-    early = _initial_overlap(series, series.domain, unsafe, seed)
+    early = _initial_overlap(series.domain, unsafe, seed)
     if early is not None:
         return early
     candidates = {t: brs(series, unsafe, t) for t in range(2, series.horizon + 1)}
@@ -128,8 +130,12 @@ def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
 
     Checks emptiness of BRS_t(unsafe) intersected with X1 for t = 2..T, the
     series' horizon; on exact plans the verdict agrees with the forward route.
+    On a series built over X1 itself these sets are the forward route's, so
+    only an Unknown forward verdict leaves this route work to do: a witness
+    search that samples BRS_t intersected with X1, not BRS_t, and so draws
+    other candidate initial states.
     """
-    early = _initial_overlap(series, X1, unsafe, seed)
+    early = _initial_overlap(X1, unsafe, seed)
     if early is not None:
         return early
     candidates = {t: brs(series, unsafe, t).generalized_intersect(X1)

@@ -13,6 +13,7 @@ from hzreach.projection import emit_projection, write_points_csv, write_svg
 from hzreach.sets import FiberLp
 from hzreach.relu import graph_triangle
 from hzreach.systems import demo_initial_box, demo_system, gate_system, half_system
+from hzreach.verify import WITNESS_TOL
 
 from conftest import box, distance_to_convex_polygon, polygon_area
 
@@ -422,32 +423,54 @@ def _demo_hit_box() -> HybridZonotope:
 
 
 @pytest.mark.parametrize("system, nb", [("half", None), ("half", 0), ("demo", None),
-                                        ("demo", 2)])
+                                        ("demo", 2), ("margin", None), ("margin", 0)])
 def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, nb):
-    # a domain file equal to the initial file lets both routes share one
-    # series; the report must be the one of two separately built series
+    # a domain file equal to the initial file gives one series, on which the
+    # backward route would test the forward route's sets: the forward verdict
+    # is reported for both unless it is unknown, when the backward route runs.
+    # Statuses and evidence must be those of two separately built series.
+    # "margin" is the box that only relaxed sets meet: safe exact, unknown at nb 0
     if system == "half":
         model, T, lo, hi, unsafe = half_system(), 5, [0.0], [1.0], box([0.2], [0.21])
-    else:
+    elif system == "demo":
         model, T, (lo, hi), unsafe = demo_system(), 3, demo_initial_box(), _demo_hit_box()
+    else:
+        model, T, (lo, hi) = demo_system(), 4, demo_initial_box()
+        unsafe = box([0.30, 0.02], [0.35, 0.06])
     argv = _shared_verify_argv(tmp_path, model, lo, hi, unsafe, T)
     code = main(argv + ([] if nb is None else ["--nb", str(nb)]))
     report = json.loads((tmp_path / "v" / "verdict.json").read_text())
     expected = _two_series_report(model, tmp_path / "initial.json", unsafe, T, nb)
-    assert _drop_timings(report) == _drop_timings(expected)
+    fwd, bwd = report["forward"], report["backward"]
+    if fwd["status"] != "unknown":
+        assert bwd == fwd  # its timing too: one verdict, reported twice
+    report, expected = _drop_timings(report), _drop_timings(expected)
+    if fwd["status"] == "unknown":
+        assert bwd == expected["backward"]
+    for key in ("status", "forward", "complexity", "binary_limit", "horizon"):
+        assert report[key] == expected[key]
+    for key in ("status", "evidence"):
+        assert bwd[key] == expected["backward"][key]
+    for w in fwd["witnesses"] + bwd["witnesses"]:
+        assert box(lo, hi).contains_point(w["x1"])
+        assert unsafe.contains_point(simulate(model, np.array(w["x1"]), w["t"]).states[-1],
+                                     WITNESS_TOL)
     assert code == {"safe": 0, "unsafe": 2, "unknown": 3}[report["status"]]
-    if nb is None:
+    if system == "margin":
+        assert report["status"] == ("safe" if nb is None else "unknown")
+    elif nb is None:
         assert report["status"] == "unsafe"
 
 
 def test_demo_hit_verify_shares_its_lps(tmp_path, monkeypatch):
     # on the demo box as domain and initial set, a box hit at step 3 costs
-    # one series, and the backward route tests only the leaves that the
-    # forward route found: 44 LPs, where two series and root searches took 76
+    # one series and one route: the forward route's Unsafe verdict is the
+    # backward one too, since the backward route would test the same BRS_t.
+    # 27 LPs, where running the backward route on the shared series took 33
     solves = _counted_solves(monkeypatch)
     argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(), _demo_hit_box(), 5)
     assert main(argv) == 2
-    assert len(solves) <= 45
+    assert len(solves) <= 27
 
 
 def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
                      LpProblem, PrefixMismatchError, lp_solve)
+import hzreach.lp as lp_mod
 from hzreach.lp import LpSession
 from hzreach.sets import FiberLp
 
@@ -371,17 +372,16 @@ def test_binary_leaves_enumerated_once_per_set(monkeypatch):
     assert len(calls) == 1 and len(leaves) == 2
     with pytest.raises(ValueError):
         leaves[0][0] = 1.0
-    with pytest.raises(RuntimeError, match=r"n_g=3, n_b=1, n_c=1.*\(2 found\)"):
-        Z.feasible_binary_assignments(limit=1)
 
 
-def test_leaf_cap_fails_fast_naming_the_set():
-    # 2^14 leaves, all feasible: the cap stops the enumeration after 51
+def test_leaf_cap_fails_fast_naming_the_set(monkeypatch):
+    # 2^14 leaves, all feasible: a cap of 50 stops the enumeration after 51
+    monkeypatch.setattr(lp_mod, "LEAF_LIMIT", 50)
     Z = HybridZonotope(Gc=[[1.0]], Gb=np.ones((1, 14)), c=[0.0],
                        Ac=[[1.0]], Ab=np.zeros((1, 14)), b=[0.0])
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"n_g=1, n_b=14, n_c=1.*stopped at 51"):
-        Z.feasible_binary_assignments(limit=50)
+        Z.feasible_binary_assignments()
     assert time.perf_counter() - start < 10.0
 
 

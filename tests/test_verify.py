@@ -1,9 +1,14 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hzreach import (EmptySeedError, Safety, exact_plan, propagate_intervals,
                      rank_unstable, simulate, state_pairs, unsafe_sequences,
                      verify_backward, verify_forward)
+from hzreach.systems import demo_initial_box, demo_system, gate_system
 
 from conftest import box, random_system, unit_directions
 
@@ -151,6 +156,47 @@ def test_forward_backward_agree_on_exact_plans():
         assert fwd.status is bwd.status
         agreements += 1
     assert agreements >= 4
+
+
+@lru_cache(maxsize=None)
+def _shared_series(case: str, n_b):
+    """A series whose domain is the initial set, with that set's bounds."""
+    if case == "gate":
+        m, lo, hi, T = gate_system(), [0.0], [1.0], 4
+    else:
+        lo, hi = demo_initial_box() if case == "demo" else ([0.0, 0.6], [1.0, 1.0])
+        m, T = demo_system(0), 3
+    return _series(m, box(lo, hi), T, n_b), np.asarray(lo), np.asarray(hi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["demo", "band", "gate"]),
+       n_b=st.sampled_from([None, 0, 1, 3]))
+def test_routes_agree_on_a_series_over_the_initial_set(seed, case, n_b):
+    # a series built over X1 has every BRS_t inside X1, so the backward
+    # condition tests the forward condition's sets: with exact or relaxed
+    # plans both routes give one evidence list, and so Safe on both or on
+    # neither.  Exact plans give one status too.  Relaxed ones may not: each
+    # route draws its own candidates, so one can confirm a witness where the
+    # other finds none; the forward route's witnesses confirm the backward
+    # condition's overlap as well, which is what lets verify report them for both
+    series, lo, hi = _shared_series(case, n_b)
+    X1 = series.domain
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(2, series.horizon + 1))
+    x_t = simulate(series.model, rng.uniform(lo, hi), t).states[t - 1]
+    half_width = rng.uniform(0.005, 0.1, size=lo.size)
+    center = x_t + rng.uniform(-2.0, 2.0, size=lo.size) * half_width
+    unsafe = box(center - half_width, center + half_width)
+    fwd = verify_forward(series, unsafe, seed=seed % 1000)
+    bwd = verify_backward(series, unsafe, X1, seed=seed % 1000)
+    assert fwd.evidence == bwd.evidence
+    assert (fwd.status is Safety.SAFE) == (bwd.status is Safety.SAFE)
+    if series.plan.all_exact:
+        assert fwd.status is bwd.status
+    for t, x1 in fwd.witnesses:
+        assert X1.contains_point(x1)
+        assert unsafe.contains_point(simulate(series.model, x1, t).states[t - 1], 1e-6)
 
 
 def test_safe_verdict_backed_by_simulation_smoke(half):
