@@ -2,7 +2,7 @@
 
 from .bounds import BoundsTable, count_unstable, propagate_intervals
 from .errors import (EmptyDomainError, EmptySeedError, EmptySetError, HzReachError,
-                     NotUnstableError, PrefixMismatchError)
+                     LeafLimitError, NotUnstableError, PrefixMismatchError)
 from .intervals import IntervalVector
 from .lp import (LpProblem, MilpProblem, SolveResult, SolveStatus, lp_solve,
                  milp_solve)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsTable", "ClosedLoopRnn", "ComplexityRecord", "EmptyDomainError",
     "EmptySeedError", "EmptySetError", "FEAS_TOL", "HybridZonotope",
-    "HzReachError", "IntervalVector", "LpProblem", "MilpProblem",
+    "HzReachError", "IntervalVector", "LeafLimitError", "LpProblem", "MilpProblem",
     "NeuronInterval", "NotUnstableError", "PlanEntry",
     "PredictedComplexity", "PrefixMismatchError", "ReachSeries", "ReluLabel",
     "RelaxationPlan", "RnnLayer", "Safety", "SafetyVerdict", "SolveResult",

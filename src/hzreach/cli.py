@@ -7,8 +7,7 @@ Subcommands:
     verify     forward + backward safety check against an unsafe set;
                exit code 0 = Safe, 2 = Unsafe, 3 = Unknown.
 
-Outputs are deterministic for a fixed seed and configuration (the verify
-report's timing field excepted).
+Outputs are deterministic for a fixed seed and configuration.
 """
 
 from __future__ import annotations

@@ -23,3 +23,7 @@ class EmptySeedError(HzReachError):
 
 class EmptyDomainError(HzReachError):
     """Raised when a reachability run is started from an empty domain set."""
+
+
+class LeafLimitError(HzReachError, RuntimeError):
+    """Raised when a set has more feasible binary leaves than ``lp.LEAF_LIMIT``."""

@@ -32,6 +32,8 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linprog
 
+from .errors import LeafLimitError
+
 try:
     from scipy.optimize._highspy import _core as _highs
 except ImportError as err:  # scipy < 1.15 has no Python binding of HiGHS
@@ -300,7 +302,7 @@ def enumerate_binary_leaves(p: MilpProblem,
     one pinned LP each.
 
     Raises:
-        RuntimeError: once more than ``LEAF_LIMIT`` leaves are found.
+        LeafLimitError: once more than ``LEAF_LIMIT`` leaves are found.
     """
     binaries = np.array(p.binary_index, dtype=int)
     leaves: list[np.ndarray] = []
@@ -323,8 +325,8 @@ def enumerate_binary_leaves(p: MilpProblem,
         if not free.size:
             leaves.append(lb[binaries])
             if len(leaves) > LEAF_LIMIT:
-                raise RuntimeError(f"more than {LEAF_LIMIT} feasible binary assignments "
-                                   f"(stopped at {len(leaves)})")
+                raise LeafLimitError(f"more than {LEAF_LIMIT} feasible binary "
+                                     f"assignments (stopped at {len(leaves)})")
             continue
         i = free[np.argmin(np.abs(x[free]))]
         for v in (1.0, -1.0):

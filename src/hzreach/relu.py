@@ -14,6 +14,11 @@ plus the sum of the two gates as a third row, giving the fixed size of
 4 continuous generators, 1 binary generator and 3 constraints per unstable
 unit.  Relaxing sigma to [-1, 1] turns the gated pair of segments into the
 convex triangle with vertices (alpha,0), (0,0), (beta,beta).
+
+A ReLU layer over a set Z is assembled from this one unit encoding: each
+unstable unit brings its factors, its output row and its two gate rows, and
+a tie row, equating the unit's input row with Z's coordinate, takes the
+place of the summed-gates row.
 """
 
 from __future__ import annotations
@@ -61,19 +66,20 @@ class NeuronInterval:
         return self.alpha < 0.0 < self.beta
 
 
-def _unstable_blocks(iv: NeuronInterval):
-    """Generator/constraint blocks of the gated two-segment encoding."""
+def _unstable_blocks(iv: NeuronInterval, relaxed: bool = False):
+    """Generator/constraint blocks (Gc, Gb, c, Ac, Ab, b) of the gated
+    two-segment encoding over the factors (p, q, s1, s2, sigma); ``relaxed``
+    makes sigma a fifth continuous factor.  Rows of Gc/Gb/c: input, output;
+    rows of Ac/Ab/b: the two gates, then their sum."""
     a, b = iv.alpha, iv.beta
-    Gc = np.array([[a / 2.0, b / 2.0, 0.0, 0.0],
-                   [0.0, b / 2.0, 0.0, 0.0]])
-    Gb = np.array([[0.0], [0.0]])
-    c = np.array([(a + b) / 2.0, b / 2.0])
-    Ac = np.array([[1.0, 0.0, -1.0, 0.0],
-                   [0.0, 1.0, 0.0, -1.0],
-                   [1.0, 1.0, -1.0, -1.0]])
-    Ab = np.array([[1.0], [-1.0], [0.0]])
-    rhs = np.array([-1.0, -1.0, -2.0])
-    return Gc, Gb, c, Ac, Ab, rhs
+    G = np.array([[a / 2.0, b / 2.0, 0.0, 0.0, 0.0],
+                  [0.0, b / 2.0, 0.0, 0.0, 0.0]])
+    A = np.array([[1.0, 0.0, -1.0, 0.0, 1.0],
+                  [0.0, 1.0, 0.0, -1.0, -1.0],
+                  [1.0, 1.0, -1.0, -1.0, 0.0]])
+    n = 5 if relaxed else 4
+    return (G[:, :n], G[:, n:], np.array([(a + b) / 2.0, b / 2.0]),
+            A[:, :n], A[:, n:], np.array([-1.0, -1.0, -2.0]))
 
 
 def graph_interval(iv: NeuronInterval) -> HybridZonotope:
@@ -89,8 +95,7 @@ def graph_interval(iv: NeuronInterval) -> HybridZonotope:
     if iv.is_stable_negative:
         return HybridZonotope(Gc=[[(b - a) / 2.0], [0.0]],
                               c=[(a + b) / 2.0, 0.0])
-    Gc, Gb, c, Ac, Ab, rhs = _unstable_blocks(iv)
-    return HybridZonotope(Gc, Gb, c, Ac, Ab, rhs)
+    return HybridZonotope(*_unstable_blocks(iv))
 
 
 def graph_triangle(iv: NeuronInterval) -> HybridZonotope:
@@ -106,9 +111,7 @@ def graph_triangle(iv: NeuronInterval) -> HybridZonotope:
     if not iv.is_unstable:
         raise NotUnstableError(f"triangle relaxation needs alpha < 0 < beta, "
                                f"got [{iv.alpha}, {iv.beta}]")
-    Gc, Gb, c, Ac, Ab, rhs = _unstable_blocks(iv)
-    return HybridZonotope(np.hstack([Gc, Gb]), None, c,
-                          np.hstack([Ac, Ab]), None, rhs)
+    return HybridZonotope(*_unstable_blocks(iv, relaxed=True))
 
 
 def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
@@ -118,103 +121,58 @@ def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
     ``ivs`` must be a sound enclosure of Z's coordinate ranges.  The returned
     graph lives in R^(2m) with coordinates (inputs..., outputs...) and equals,
     as a set, the generalized intersection of the vector graph with Z under
-    the input selector; the output is its projection onto the output block
-    (``relu_layer_output``).  When every label is exact the output equals the
-    elementwise ReLU image of Z exactly.
+    the input selector.  It is the constrained product of Z with the output
+    (``relu_layer_output``), whose leading factors and rows are Z's.  When
+    every label is exact the output equals the elementwise ReLU image of Z
+    exactly.
 
     Returns:
         (graph, output) as hybrid zonotopes sharing Z's leading factors.
     """
-    Gc, Gb, c, Ac, Ab, rhs = _output_blocks(Z, ivs, labels)
-    graph = HybridZonotope(
-        np.vstack([np.hstack([Z.Gc, np.zeros((Z.dim, Gc.shape[1] - Z.n_g))]), Gc]),
-        np.vstack([np.hstack([Z.Gb, np.zeros((Z.dim, Gb.shape[1] - Z.n_b))]), Gb]),
-        np.concatenate([Z.c, c]), Ac, Ab, rhs)
-    return graph, HybridZonotope(Gc, Gb, c, Ac, Ab, rhs)
+    out = relu_layer_output(Z, ivs, labels)
+    return Z.constrained_product(out), out
 
 
 def relu_layer_output(Z: HybridZonotope, ivs: list[NeuronInterval],
                       labels: list[ReluLabel]) -> HybridZonotope:
-    """The output of ``relu_layer_graph(Z, ivs, labels)``, built without the
-    graph: the ReLU image of Z, exact when every label is exact."""
-    return HybridZonotope(*_output_blocks(Z, ivs, labels))
-
-
-def _output_blocks(Z: HybridZonotope, ivs: list[NeuronInterval], labels: list[ReluLabel]):
-    """Blocks (Gc, Gb, c, Ac, Ab, b) of the ReLU layer's output over Z.
+    """The ReLU image of Z, exact when every label is exact.
 
     The output extends Z's factor space in place of forming the block
-    intersection: stable coordinates pass through affinely and each
-    unstable unit appends 4 continuous factors, 1 binary (or a 5th continuous
-    factor when relaxed) and 3 constraint rows (two gates plus the row tying
-    the unit's input parameterization to Z's coordinate expression), so the
-    added complexity is exactly (4, 1, 3) per exact and (5, 0, 3) per relaxed
-    unstable unit.
+    intersection: stable coordinates pass through affinely (or to zero), and
+    each unstable unit appends the factors of its encoding
+    (``_unstable_blocks``, relaxed when its label is), its output row and
+    its two gate rows.  In place of the encoding's summed-gates row, a tie
+    row equates the unit's input row with Z's coordinate expression.  Gate
+    rows come first, two per unit in unit order, then the tie rows.  The
+    added complexity is thus exactly (4, 1, 3) per exact and (5, 0, 3) per
+    relaxed unstable unit.
     """
     m = Z.dim
     if len(ivs) != m or len(labels) != m:
         raise ValueError(f"expected {m} intervals and labels")
-    unstable = [(i, ivs[i], labels[i]) for i in range(m) if ivs[i].is_unstable]
-    n_relaxed = sum(1 for _, _, lab in unstable if lab is ReluLabel.RELAXED)
-    n_exact = len(unstable) - n_relaxed
+    units = [(i, _unstable_blocks(iv, labels[i] is ReluLabel.RELAXED))
+             for i, iv in enumerate(ivs) if iv.is_unstable]
     ng, nb, nc = Z.n_g, Z.n_b, Z.n_c
-    new_g = 4 * len(unstable) + n_relaxed
-    new_b = n_exact
-
-    Gc = np.zeros((m, ng + new_g))
-    Gb = np.zeros((m, nb + new_b))
-    c = np.zeros(m)
-
-    # Column offsets of each unstable unit's new factors.
-    cont_col = ng
-    bin_col = nb
-    cols = []
-    for _, _, lab in unstable:
-        width = 5 if lab is ReluLabel.RELAXED else 4
-        sigma = (cont_col + 4) if lab is ReluLabel.RELAXED else bin_col
-        cols.append((cont_col, sigma))
-        cont_col += width
-        if lab is ReluLabel.EXACT:
-            bin_col += 1
-
-    Ac = np.zeros((nc + 3 * len(unstable), ng + new_g))
-    Ab = np.zeros((nc + 3 * len(unstable), nb + new_b))
-    rhs = np.zeros(nc + 3 * len(unstable))
-    Ac[:nc, :ng] = Z.Ac
-    Ab[:nc, :nb] = Z.Ab
-    rhs[:nc] = Z.b
-
-    # Output rows for stable coordinates.
-    for i in range(m):
-        if ivs[i].is_stable_positive:
+    n_g = ng + sum(blocks[0].shape[1] for _, blocks in units)
+    n_b = nb + sum(blocks[1].shape[1] for _, blocks in units)
+    rows = nc + 3 * len(units)
+    Gc, Gb, c = np.zeros((m, n_g)), np.zeros((m, n_b)), np.zeros(m)
+    Ac, Ab, rhs = np.zeros((rows, n_g)), np.zeros((rows, n_b)), np.zeros(rows)
+    Ac[:nc, :ng], Ab[:nc, :nb], rhs[:nc] = Z.Ac, Z.Ab, Z.b
+    for i, iv in enumerate(ivs):
+        if iv.is_stable_positive:  # a stable negative output row stays zero
             Gc[i, :ng] = Z.Gc[i]
             Gb[i, :nb] = Z.Gb[i]
             c[i] = Z.c[i]
-        # stable negative: output row stays zero
-
-    # Gating rows first (two per unit, in unit order), then the tie rows,
-    # mirroring the block layout of the full intersection identity.
-    row = nc
-    for (i, iv, lab), (p0, sig) in zip(unstable, cols):
-        p, q, s1, s2 = p0, p0 + 1, p0 + 2, p0 + 3
-        Gc[i, q] = iv.beta / 2.0
-        c[i] = iv.beta / 2.0
-        Ac[row, p], Ac[row, s1] = 1.0, -1.0
-        Ac[row + 1, q], Ac[row + 1, s2] = 1.0, -1.0
-        if lab is ReluLabel.RELAXED:
-            Ac[row, sig] = 1.0
-            Ac[row + 1, sig] = -1.0
-        else:
-            Ab[row, sig] = 1.0
-            Ab[row + 1, sig] = -1.0
-        rhs[row] = rhs[row + 1] = -1.0
-        row += 2
-    tie = row
-    for (i, iv, _), (p0, _) in zip(unstable, cols):
-        Ac[tie, :ng] = -Z.Gc[i]
-        Ab[tie, :nb] = -Z.Gb[i]
-        Ac[tie, p0] = iv.alpha / 2.0
-        Ac[tie, p0 + 1] = iv.beta / 2.0
-        rhs[tie] = Z.c[i] - (iv.alpha + iv.beta) / 2.0
-        tie += 1
-    return Gc, Gb, c, Ac, Ab, rhs
+    next_c, next_b = ng, nb  # first free continuous and binary columns
+    for k, (i, (Gu, Gbu, cu, Au, Abu, ru)) in enumerate(units):
+        xc = slice(next_c, next_c + Gu.shape[1])
+        xb = slice(next_b, next_b + Gbu.shape[1])
+        next_c, next_b = xc.stop, xb.stop
+        gates = slice(nc + 2 * k, nc + 2 * k + 2)
+        tie = nc + 2 * len(units) + k
+        Gc[i, xc], Gb[i, xb], c[i] = Gu[1], Gbu[1], cu[1]
+        Ac[gates, xc], Ab[gates, xb], rhs[gates] = Au[:2], Abu[:2], ru[:2]
+        Ac[tie, :ng], Ab[tie, :nb] = -Z.Gc[i], -Z.Gb[i]
+        Ac[tie, xc], Ab[tie, xb], rhs[tie] = Gu[0], Gbu[0], Z.c[i] - cu[0]
+    return HybridZonotope(Gc, Gb, c, Ac, Ab, rhs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySetError, PrefixMismatchError
+from .errors import EmptySetError, LeafLimitError, PrefixMismatchError
 from .intervals import IntervalVector
 from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
                  pinned_bounds)
@@ -291,6 +291,8 @@ class HybridZonotope:
         """``enumerate_binary_leaves``, naming this set in its errors."""
         try:
             return enumerate_binary_leaves(p, candidates)
+        except LeafLimitError as err:
+            raise LeafLimitError(f"{self!r}: {err}") from err
         except RuntimeError as err:
             raise RuntimeError(f"{self!r}: {err}") from err
 
@@ -366,7 +368,7 @@ class HybridZonotope:
         binary-free operand tests only the cached leaves of the other one.
 
         Raises:
-            RuntimeError: if the set has more than ``hzreach.lp.LEAF_LIMIT``
+            LeafLimitError: if the set has more than ``hzreach.lp.LEAF_LIMIT``
                 leaves.
         """
         if self._leaves is None:

@@ -11,7 +11,6 @@ concrete counterexample exists) and Unknown (relaxation artifact).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,7 +36,6 @@ class SafetyVerdict:
     status: Safety
     evidence: tuple                      # ((t, intersection_empty), ...)
     witnesses: tuple = ()                # ((t, x1), ...) confirmed by simulation
-    elapsed: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -45,7 +43,6 @@ class SafetyVerdict:
             "evidence": [{"t": t, "empty": bool(e)} for t, e in self.evidence],
             "witnesses": [{"t": t, "x1": np.asarray(x).tolist()}
                           for t, x in self.witnesses],
-            "timing_seconds": self.elapsed,
         }
 
 
@@ -74,7 +71,6 @@ def _verdict(series, unsafe, candidates: dict, seed):
     """Verdict from the candidate initial states ``candidates[t]`` of each
     step t: Safe when every set is empty, else Unsafe when a sample of one
     is confirmed by simulation, else Unknown."""
-    start = time.perf_counter()
     evidence = [(t, Z.is_empty()) for t, Z in candidates.items()]
     witnesses = []
     for t, empty in evidence:
@@ -90,8 +86,7 @@ def _verdict(series, unsafe, candidates: dict, seed):
         status = Safety.UNSAFE
     else:
         status = Safety.UNKNOWN
-    return SafetyVerdict(status, tuple(evidence), tuple(witnesses),
-                         time.perf_counter() - start)
+    return SafetyVerdict(status, tuple(evidence), tuple(witnesses))
 
 
 def _initial_overlap(X1: HybridZonotope, unsafe: HybridZonotope, seed: int):

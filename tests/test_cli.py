@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hzreach.lp
 from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, exact_plan,
                      frs, lp_solve, propagate_intervals, rank_unstable, save_model, simulate,
                      state_pairs, verify_backward, verify_forward)
@@ -356,7 +357,7 @@ def test_verify_unknown_exit_code(planar_files, tmp_path):
 
 
 def _two_series_report(model, path, unsafe, T, nb, seed=0):
-    """verdict.json of ``verify`` (timings dropped) as the forward and the
+    """verdict.json of ``verify`` as the forward and the
     backward route give it on two series, each built from its own load of
     the set file at ``path`` (domain and initial set alike)."""
     X1, X = HybridZonotope.load(path), HybridZonotope.load(path)
@@ -378,12 +379,6 @@ def _two_series_report(model, path, unsafe, T, nb, seed=0):
                        for route, s in (("forward", fwd_series), ("backward", bwd_series))},
         "binary_limit": fwd_series.plan.binary_limit, "horizon": T,
     }
-
-
-def _drop_timings(report: dict) -> dict:
-    for route in ("forward", "backward"):
-        del report[route]["timing_seconds"]
-    return report
 
 
 def _verify_argv(tmp_path, model, domain, initial, unsafe, T) -> list:
@@ -442,15 +437,11 @@ def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, 
     report = json.loads((tmp_path / "v" / "verdict.json").read_text())
     expected = _two_series_report(model, tmp_path / "initial.json", unsafe, T, nb)
     fwd, bwd = report["forward"], report["backward"]
-    if fwd["status"] != "unknown":
-        assert bwd == fwd  # its timing too: one verdict, reported twice
-    report, expected = _drop_timings(report), _drop_timings(expected)
-    if fwd["status"] == "unknown":
-        assert bwd == expected["backward"]
-    for key in ("status", "forward", "complexity", "binary_limit", "horizon"):
-        assert report[key] == expected[key]
     for key in ("status", "evidence"):
         assert bwd[key] == expected["backward"][key]
+    if fwd["status"] != "unknown":
+        expected["backward"] = expected["forward"]  # one verdict, reported twice
+    assert report == expected
     for w in fwd["witnesses"] + bwd["witnesses"]:
         assert box(lo, hi).contains_point(w["x1"])
         assert unsafe.contains_point(simulate(model, np.array(w["x1"]), w["t"]).states[-1],
@@ -484,6 +475,40 @@ def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypa
                         box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
     assert main(argv) == 2
     assert len(solves) <= 130
+
+
+@pytest.mark.parametrize("case", ["shared", "two_series"])
+def test_verify_reruns_byte_for_byte(tmp_path, case):
+    # the demo box as domain and initial set (one series), and the unit
+    # square from its upper band (two series), each with a box hit at step 3
+    if case == "shared":
+        argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(),
+                                   _demo_hit_box(), 3)
+    else:
+        x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
+        argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
+                            box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
+    runs = []
+    for out in ("a", "b"):
+        assert main(argv[:-1] + [str(tmp_path / out)]) == 2
+        runs.append((tmp_path / out / "verdict.json").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_leaf_cap_is_a_cli_error(tmp_path, monkeypatch, capsys):
+    # 2^14 feasible leaves in the domain: its emptiness test stops at the cap
+    monkeypatch.setattr(hzreach.lp, "LEAF_LIMIT", 50)
+    save_model(half_system(), tmp_path / "model.json")
+    HybridZonotope(Gc=[[1.0]], Gb=np.ones((1, 14)), c=[0.0], Ac=[[1.0]],
+                   Ab=np.zeros((1, 14)), b=[0.0]).save(tmp_path / "domain.json")
+    code = main(["forward", "--model", str(tmp_path / "model.json"),
+                 "--domain", str(tmp_path / "domain.json"),
+                 "--initial", str(tmp_path / "domain.json"),
+                 "-T", "3", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "hzreach: error: HybridZonotope(dim=1, n_g=1, n_b=14, n_c=1): more than 50 "
+        "feasible binary assignments (stopped at 51)\n")
 
 
 def test_missing_file_exits_nonzero(tmp_path):

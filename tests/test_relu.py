@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -274,3 +277,30 @@ def test_layer_output_insensitive_to_enclosure_when_exact():
     _, out_loose = relu_layer_graph(Z, ivs_loose, [E, E])
     for d in unit_directions(32, 2, seed=9):
         assert out_tight.support(d) == pytest.approx(out_loose.support(d), abs=1e-6)
+
+
+_BLOCKS = ("Gc", "Gb", "c", "Ac", "Ab", "b")
+
+
+def _blocks(d: dict) -> list[np.ndarray]:
+    return [np.array(d[k]["data"], dtype=float).reshape(d[k]["shape"]) for k in _BLOCKS]
+
+
+def test_layer_blocks_bitwise_locked():
+    # Inputs and blocks recorded from the earlier builder, which placed every
+    # coefficient by hand: demo stage sets (exact plan capped at 5 and 8
+    # binaries, so some layers mix labels), all-relaxed and all-exact
+    # layers, stable-only and [0, b] / [a, 0] units, seeded random_hz sets.
+    # Inputs are stored as they were, so no matrix product enters the check.
+    cases = json.loads((Path(__file__).parent / "data" / "relu_layers.json").read_text())
+    assert len(cases["cases"]) == 34
+    for case in cases["cases"]:
+        Z = HybridZonotope(*_blocks(case["Z"]))
+        ivs = [NeuronInterval(a, b) for a, b in case["ivs"]]
+        labels = [ReluLabel[name.upper()] for name in case["labels"]]
+        graph, out = relu_layer_graph(Z, ivs, labels)
+        for got, key in ((graph, "graph"), (out, "output")):
+            for name, want in zip(_BLOCKS, _blocks(case[key])):
+                block = getattr(got, name)
+                assert block.shape == want.shape and block.tobytes() == want.tobytes(), \
+                    (case["name"], key, name)
