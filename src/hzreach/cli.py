@@ -13,6 +13,7 @@ Outputs are deterministic for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,18 @@ from .verify import Safety, verify_backward, verify_forward
 
 _EXIT_BY_STATUS = {Safety.SAFE: 0, Safety.UNSAFE: 2, Safety.UNKNOWN: 3}
 _SAMPLES_PER_SET = 500
+
+
+def _load_model(args):
+    """The model of ``args``, with ``--dims`` checked against its state
+    dimension n: for n >= 2 it must name two distinct coordinates in
+    [0, n); a model with one coordinate ignores it."""
+    model = load_model(args.model)
+    n, (i, j) = model.state_dim, args.dims
+    if n >= 2 and not (i != j and 0 <= i < n and 0 <= j < n):
+        raise ValueError(f"--dims must name two distinct coordinates in [0, {n}) "
+                         f"of the {n}-dimensional state, got {i},{j}")
+    return model
 
 
 def _build_series(model, domain_hz, args):
@@ -70,7 +83,7 @@ def _reach_run(args, route: str, source: HybridZonotope) -> dict:
     domain: ``route`` "frs" pins the pair sets' first block to the source,
     "brs" their second.  Writes each set with its figure data, the overlay,
     the complexity table and the series; returns the sets by step."""
-    series = _build_series(load_model(args.model), HybridZonotope.load(args.domain), args)
+    series = _build_series(_load_model(args), HybridZonotope.load(args.domain), args)
     args.out.mkdir(parents=True, exist_ok=True)
     reach = frs if route == "frs" else brs
     reached = {}
@@ -118,7 +131,7 @@ def cmd_backward(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = load_model(args.model)
+    model = _load_model(args)
     domain = HybridZonotope.load(args.domain)
     initial = HybridZonotope.load(args.initial)
     unsafe = HybridZonotope.load(args.unsafe)
@@ -175,6 +188,7 @@ def _dims(text: str) -> tuple[int, int]:
     return (i, j)
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hzreach",
                      description="Hybrid-zonotope reachability and safety "

@@ -160,24 +160,26 @@ def column_wise(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4  # HiGHS simplex_strategy values
+_COLWISE, _MINIMIZE = int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize)
 _SETTLED = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasible)
 
 
 class LpSession:
     """One LP held in HiGHS and re-solved warm as its costs or bounds change.
 
-    The rows ``A @ x = b`` are passed to HiGHS once, as a sparse column-wise
-    matrix.  Each ``solve`` changes only the costs and column bounds it is
-    given, and HiGHS restarts the simplex from the previous basis.  A solve
-    that changed no bound after an optimal run uses primal simplex, since
-    the old basis is still primal feasible; every other solve uses dual
-    simplex, as ``lp_solve`` does, since a bound change leaves the basis
-    dual feasible.  A primal re-solve that ends neither optimal nor
-    infeasible (HiGHS can stall on degenerate fibers) is run again by dual
-    simplex from a cold start.  Options and the clipping of solutions to the
-    bounds are those of ``lp_solve``; two sessions given the same sequence
-    of solves return identical results.  A session is not thread-safe: use one per
-    query.
+    The model is passed to HiGHS once, in one array call: the rows
+    ``A @ x = b`` as a sparse column-wise matrix, the costs and column
+    bounds, and every column continuous.  Each ``solve`` changes only the
+    costs and column bounds it is given, and HiGHS restarts the simplex from
+    the previous basis.  A solve that changed no bound after an optimal run
+    uses primal simplex, since the old basis is still primal feasible; every
+    other solve uses dual simplex, as ``lp_solve`` does, since a bound
+    change leaves the basis dual feasible.  A primal re-solve that ends
+    neither optimal nor infeasible (HiGHS can stall on degenerate fibers) is
+    run again by dual simplex from a cold start.  Options and the clipping
+    of solutions to the bounds are those of ``lp_solve``; two sessions given
+    the same sequence of solves return identical results.  A session is not
+    thread-safe: use one per query.
     """
 
     def __init__(self, p: LpProblem):
@@ -192,22 +194,16 @@ class LpSession:
         self._cols = np.arange(n, dtype=np.int32)
         start, index, value = column_wise(p.A)
         self._factored = value.size > 0
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = p.b.size
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = index
-        lp.a_matrix_.value_ = value
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.c, p.lb, p.ub
-        lp.row_lower_ = lp.row_upper_ = p.b
         h = _highs._Highs()
         options = dict(_HIGHS_OPTIONS, presolve="on" if _HIGHS_OPTIONS["presolve"] else "off",
                        output_flag=False, simplex_strategy=self._strategy)
-        for key, value in options.items():
-            if h.setOptionValue(key, value) != _highs.HighsStatus.kOk:
-                raise RuntimeError(f"HiGHS rejected option {key}={value!r}")
-        if h.passModel(lp) == _highs.HighsStatus.kError:
+        for key, setting in options.items():
+            if h.setOptionValue(key, setting) != _highs.HighsStatus.kOk:
+                raise RuntimeError(f"HiGHS rejected option {key}={setting!r}")
+        continuous = np.zeros(n, dtype=np.int32)  # HighsVarType.kContinuous
+        status = h.passModel(n, p.b.size, value.size, _COLWISE, _MINIMIZE, 0.0,
+                             p.c, p.lb, p.ub, p.b, p.b, start, index, value, continuous)
+        if status == _highs.HighsStatus.kError:
             raise RuntimeError("HiGHS rejected the LP model")
         self._highs = h
 

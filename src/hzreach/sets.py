@@ -64,6 +64,19 @@ def _matrix(M, rows: int | None, cols: int | None, name: str) -> np.ndarray:
     return M
 
 
+def _coupled(y_rows: np.ndarray, z_rows: np.ndarray, y_gens: np.ndarray,
+             z_gens: np.ndarray) -> np.ndarray:
+    """The block matrix [[y_rows, 0], [0, z_rows], [-y_gens, z_gens]], its
+    blocks written into one preallocated array."""
+    (ry, cy), rz = y_rows.shape, z_rows.shape[0]
+    M = np.zeros((ry + rz + y_gens.shape[0], cy + z_rows.shape[1]))
+    M[:ry, :cy] = y_rows
+    M[ry:ry + rz, cy:] = z_rows
+    M[ry + rz:, :cy] = -y_gens
+    M[ry + rz:, cy:] = z_gens
+    return M
+
+
 class HybridZonotope:
     """Immutable hybrid zonotope in R^n.
 
@@ -88,7 +101,7 @@ class HybridZonotope:
         Ac = _matrix(Ac, b.size, Gc.shape[1], "Ac")
         Ab = _matrix(Ab, b.size, Gb.shape[1], "Ab")
         for name, arr in (("Gc", Gc), ("Gb", Gb), ("c", c), ("Ac", Ac), ("Ab", Ab), ("b", b)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
         object.__setattr__(self, "Gc", Gc)
@@ -188,18 +201,12 @@ class HybridZonotope:
         if R.shape != (other.dim, self.dim):
             raise ValueError(f"map must have shape ({other.dim}, {self.dim})")
         z, y = self, other
-        Gc = np.hstack([np.zeros((z.dim, y.n_g)), z.Gc])
-        Gb = np.hstack([np.zeros((z.dim, y.n_b)), z.Gb])
-        Ac = np.block([
-            [y.Ac, np.zeros((y.n_c, z.n_g))],
-            [np.zeros((z.n_c, y.n_g)), z.Ac],
-            [-y.Gc, R @ z.Gc],
-        ])
-        Ab = np.block([
-            [y.Ab, np.zeros((y.n_c, z.n_b))],
-            [np.zeros((z.n_c, y.n_b)), z.Ab],
-            [-y.Gb, R @ z.Gb],
-        ])
+        Gc = np.zeros((z.dim, y.n_g + z.n_g))
+        Gc[:, y.n_g:] = z.Gc
+        Gb = np.zeros((z.dim, y.n_b + z.n_b))
+        Gb[:, y.n_b:] = z.Gb
+        Ac = _coupled(y.Ac, z.Ac, y.Gc, R @ z.Gc)
+        Ab = _coupled(y.Ab, z.Ab, y.Gb, R @ z.Gb)
         b = np.concatenate([y.b, z.b, y.c - R @ z.c])
         out = HybridZonotope(Gc, Gb, z.c, Ac, Ab, b)
         if y.n_b == 0:
@@ -385,7 +392,10 @@ class HybridZonotope:
         continuous factors solve that fiber's LP with a random objective, so
         samples land on vertices of the chosen fiber.  All draws are made
         first, and each leaf's draws are solved as one batch in draw order
-        (``FiberLp.points``); row j is still the j-th draw's point.
+        (``FiberLp.points``); row j is still the j-th draw's point.  A set
+        with one leaf draws all costs in one call, which yields the same
+        stream as the per-draw loop, since choosing among one leaf consumes
+        no random bits.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -394,11 +404,15 @@ class HybridZonotope:
         if not assignments:
             raise EmptySetError("cannot sample an empty set")
         rng = np.random.default_rng(seed)
-        leaf = np.empty(k, dtype=int)
-        costs = np.empty((k, self.n_g))
-        for j in range(k):
-            leaf[j] = rng.integers(len(assignments))
-            costs[j] = rng.standard_normal(self.n_g)
+        if len(assignments) == 1:  # rng.integers(1) draws nothing from the stream
+            leaf = np.zeros(k, dtype=int)
+            costs = rng.standard_normal((k, self.n_g))
+        else:
+            leaf = np.empty(k, dtype=int)
+            costs = np.empty((k, self.n_g))
+            for j in range(k):
+                leaf[j] = rng.integers(len(assignments))
+                costs[j] = rng.standard_normal(self.n_g)
         fibers = FiberLp(self)
         out = np.empty((k, self.dim))
         for i, xb in enumerate(assignments):
@@ -476,12 +490,14 @@ class FiberLp:
 
         The costs are solved in order.  After each LP, one reduced-cost test
         over the costs not yet answered gives every cost for which that LP's
-        optimal basis is optimal too the LP's vertex.  Certification stops
-        for the rest of the batch once it has answered fewer costs than the
-        tests it ran.  Rows are held exactly first, per fiber: only once
-        this fiber's exact LP is infeasible does the rest of the batch run
-        with FEAS_TOL slack, so a fiber nonempty with exact rows gets exact
-        points whatever the other fibers of the set need.
+        optimal basis is optimal too the LP's vertex; the test is one solve
+        with that basis over the columns it tests, not one per cost
+        (``_certified``).  Certification stops for the rest of the batch
+        once it has answered fewer costs than the tests it ran.  Rows are
+        held exactly first, per fiber: only once this fiber's exact LP is
+        infeasible does the rest of the batch run with FEAS_TOL slack, so a
+        fiber nonempty with exact rows gets exact points whatever the other
+        fibers of the set need.
 
         Raises:
             EmptySetError: if the fiber is empty even within FEAS_TOL.
@@ -539,12 +555,14 @@ class FiberLp:
         at ``slack``, whose solution is x, is optimal for.
 
         A basis is optimal for every cost whose reduced costs keep their
-        signs (Bertsimas & Tsitsiklis 1997, section 5.1): with B.T @ y = c_B,
-        d = c - A.T @ y must be >= 0 on each nonbasic column at its lower
-        bound and <= 0 at its upper, tested without tolerance.  Columns that
-        cannot move are skipped: the pinned binaries and every column of a
-        forcing row, whose right-hand side equals its least or greatest
-        activity over the fiber's box (Andersen & Andersen 1995).
+        signs (Bertsimas & Tsitsiklis 1997, section 5.1): d must be >= 0 on
+        each nonbasic column at its lower bound and <= 0 at its upper, tested
+        without tolerance.  The reduced costs d = c - (B^-1 @ A).T @ c_B are
+        linear in the cost (ibid., section 3.1), so one solve
+        B @ W = A[:, test] over the tested columns serves every cost of the
+        batch.  Columns that cannot move are skipped: the pinned binaries and
+        every column of a forcing row, whose right-hand side equals its least
+        or greatest activity over the fiber's box (Andersen & Andersen 1995).
         """
         session, p = self._sessions[slack]
         basic = session.basic_variables()
@@ -560,18 +578,16 @@ class FiberLp:
         columns = basic[~logical]
         test = self._movable[slack].copy()
         test[columns] = False
-        C = np.zeros((A.shape[1], len(costs)))
-        C[:costs.shape[1]] = costs.T
-        Bt = np.zeros((A.shape[0], A.shape[0]))  # B.T; a logical's row is +/-e_r, its cost 0
-        Bt[~logical] = A[:, columns].T
-        Bt[logical, -1 - basic[logical]] = 1.0
-        cB = np.zeros((A.shape[0], len(costs)))
-        cB[~logical] = C[columns]
+        B = np.zeros((A.shape[0], A.shape[0]))  # a logical's column is +/-e_r, its cost 0
+        B[:, ~logical] = A[:, columns]
+        B[-1 - basic[logical], logical] = 1.0
         try:
-            y = np.linalg.solve(Bt, cB)
+            W = np.linalg.solve(B, A[:, test])
         except np.linalg.LinAlgError:
             return np.zeros(len(costs), dtype=bool)
-        d = C[test] - A[:, test].T @ y
+        C = np.zeros((A.shape[1], len(costs)))
+        C[:costs.shape[1]] = costs.T
+        d = C[test] - W[~logical].T @ C[columns]
         xt = x[test]
         at_lb, at_ub = (xt == lb[test])[:, None], (xt == ub[test])[:, None]
         return ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=0)

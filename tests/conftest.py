@@ -150,6 +150,46 @@ def leaves_in_index_order(p) -> list:
     return leaves
 
 
+def certified_by_duals(fibers, slack, x, costs):
+    """Basis certificate oracle for ``FiberLp._certified``: one right-hand
+    side per cost.  For the last LP of ``fibers`` at ``slack`` (solution x),
+    solves B.T @ y = c_B for each row of ``costs`` and takes the reduced
+    costs d = c - A.T @ y over the columns that can move and are nonbasic.
+    Returns the mask of costs whose d keep the optimal signs (tested
+    without tolerance) and, per cost, the least |d| over those columns
+    (inf when none is tested)."""
+    session, p = fibers._sessions[slack]
+    _, lb, ub = fibers._pinned[slack]
+    k = len(costs)
+    basic = session.basic_variables()
+    if basic is None:
+        return np.zeros(k, dtype=bool), np.full(k, np.inf)
+    A = p.lp.A
+    low, high = np.minimum(A * lb, A * ub), np.maximum(A * lb, A * ub)
+    forcing = (p.lp.b == low.sum(axis=1)) | (p.lp.b == high.sum(axis=1))
+    test = (lb < ub) & ~A[forcing].any(axis=0)
+    logical = basic < 0
+    columns = basic[~logical]
+    test[columns] = False
+    C = np.zeros((A.shape[1], k))
+    C[:costs.shape[1]] = costs.T
+    Bt = np.zeros((A.shape[0], A.shape[0]))  # B.T; a logical's row is +/-e_r, its cost 0
+    Bt[~logical] = A[:, columns].T
+    Bt[logical, -1 - basic[logical]] = 1.0
+    cB = np.zeros((A.shape[0], k))
+    cB[~logical] = C[columns]
+    try:
+        y = np.linalg.solve(Bt, cB)
+    except np.linalg.LinAlgError:
+        return np.zeros(k, dtype=bool), np.full(k, np.inf)
+    d = C[test] - A[:, test].T @ y
+    xt = x[test]
+    at_lb, at_ub = (xt == lb[test])[:, None], (xt == ub[test])[:, None]
+    mask = ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=0)
+    margin = np.abs(d).min(axis=0) if d.shape[0] else np.full(k, np.inf)
+    return mask, margin
+
+
 def membership_predicate(Z, Y, R, x, tol=1e-7):
     """Direct two-call oracle for the generalized-intersection identity."""
     return Z.contains_point(x, tol) and Y.contains_point(R @ np.asarray(x), tol)

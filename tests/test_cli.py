@@ -8,7 +8,7 @@ import hzreach.lp
 from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, exact_plan,
                      frs, lp_solve, propagate_intervals, rank_unstable, save_model, simulate,
                      state_pairs, verify_backward, verify_forward)
-from hzreach.cli import main
+from hzreach.cli import build_parser, main
 from hzreach.lp import LpSession
 from hzreach.projection import emit_projection, write_points_csv, write_svg
 from hzreach.sets import FiberLp
@@ -181,26 +181,29 @@ def test_zonotope_projects_to_all_its_vertices(k, rows):
     assert np.max(np.min(gaps, axis=0)) <= 1e-9
 
 
-def test_cli_module_runs_as_subprocess(tmp_path):
+def _cli_process(argv: list):
+    """``python -m hzreach.cli`` with ``argv`` in a fresh process, which
+    imports the package from where this process found it."""
     import os
     import subprocess
     import sys
     import hzreach
-    # the child imports the package from where this process found it
     paths = [str(Path(hzreach.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, "-m", "hzreach.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
+
+
+def test_cli_module_runs_as_subprocess(tmp_path):
     save_model(half_system(), tmp_path / "model.json")
     box([0.0], [1.0]).save(tmp_path / "domain.json")
     box([0.5], [1.0]).save(tmp_path / "initial.json")
     box([2.0], [3.0]).save(tmp_path / "unsafe.json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hzreach.cli", "verify",
-         "--model", str(tmp_path / "model.json"),
-         "--domain", str(tmp_path / "domain.json"),
-         "--initial", str(tmp_path / "initial.json"),
-         "--unsafe", str(tmp_path / "unsafe.json"),
-         "-T", "3", "--out", str(tmp_path / "v")],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))))
+    proc = _cli_process(["verify", "--model", str(tmp_path / "model.json"),
+                         "--domain", str(tmp_path / "domain.json"),
+                         "--initial", str(tmp_path / "initial.json"),
+                         "--unsafe", str(tmp_path / "unsafe.json"),
+                         "-T", "3", "--out", str(tmp_path / "v")])
     assert proc.returncode == 0
     assert "verdict: safe" in proc.stdout
 
@@ -216,11 +219,12 @@ def half_files(tmp_path):
 
 
 def test_half_system_forward_emits_four_frs_files(half_files, tmp_path):
+    # a model with one coordinate ignores --dims, even one it lacks
     out = tmp_path / "out"
     code = main(["forward", "--model", str(half_files / "model.json"),
                  "--domain", str(half_files / "domain.json"),
                  "--initial", str(half_files / "initial.json"),
-                 "-T", "5", "--out", str(out)])
+                 "-T", "5", "--dims", "0,5", "--out", str(out)])
     assert code == 0
     frs_files = sorted(p.name for p in out.glob("frs_t*.json"))
     assert frs_files == ["frs_t2.json", "frs_t3.json", "frs_t4.json", "frs_t5.json"]
@@ -525,6 +529,36 @@ def test_bad_horizon_exits_nonzero(tmp_path, half_files):
                  "--initial", str(half_files / "initial.json"),
                  "-T", "1", "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize("dims", [["--dims", "0,5"], ["--dims=-1,0"], ["--dims", "1,1"]])
+def test_bad_dims_exit_before_writing(planar_files, tmp_path, capsys, dims):
+    # out of range, negative and repeated coordinates of the 2-D demo model
+    out = tmp_path / "o"
+    code = main(["forward", "--model", str(planar_files / "model.json"),
+                 "--domain", str(planar_files / "domain.json"),
+                 "--initial", str(planar_files / "initial.json"),
+                 "-T", "3", "--out", str(out)] + dims)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "hzreach: error: --dims must name two distinct coordinates in [0, 2) "
+        "of the 2-dimensional state")
+    assert not out.exists()
+
+
+def test_parser_built_once_keeps_no_values_between_calls(tmp_path):
+    # the second in-process call passes neither --nb nor --seed: its verdict
+    # must be that of the same call made first in a fresh process
+    assert build_parser() is build_parser()
+    argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(),
+                               _demo_hit_box(), 3)[:-1]
+    assert main(argv + [str(tmp_path / "first"), "--nb", "2", "--seed", "5"]) in (0, 2, 3)
+    assert main(argv + [str(tmp_path / "second")]) in (0, 2, 3)
+    assert _cli_process(argv + [str(tmp_path / "fresh")]).returncode in (0, 2, 3)
+    first, second, fresh = ((tmp_path / run / "verdict.json").read_bytes()
+                            for run in ("first", "second", "fresh"))
+    assert second == fresh
+    assert first != second
 
 
 # -- output writers ------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.sparse import csc_array
 
 from hzreach import (FEAS_TOL, LpProblem, MilpProblem, SolveStatus, brs, lp_solve, milp_solve,
                      propagate_intervals, rank_unstable, simulate, state_pairs)
-from hzreach.lp import LpSession, column_wise, enumerate_binary_leaves
+from hzreach.lp import LpSession, _highs, column_wise, enumerate_binary_leaves
 from hzreach.systems import demo_system
 
 from conftest import (box, leaves_in_index_order, leaves_one_by_one, milp_by_enumeration,
@@ -205,6 +205,48 @@ def test_column_wise_matches_csc_array():
         assert np.array_equal(index, ref.indices)
         assert np.array_equal(value, ref.data)
     assert column_wise(np.zeros((3, 5)))[0].tolist() == [0] * 6
+
+
+def _highs_lp_build(p: LpProblem):
+    """HiGHS given ``p`` as a HighsLp filled one attribute at a time: the
+    reference for the one array call of LpSession."""
+    start, index, value = column_wise(p.A)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = p.num_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = p.b.size
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = p.c, p.lb, p.ub
+    lp.row_lower_ = lp.row_upper_ = p.b
+    h = _highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.passModel(lp) == _highs.HighsStatus.kOk
+    return h
+
+
+def _model_of(h) -> list:
+    """The model HiGHS holds: counts, sense, offset, costs, bounds and matrix."""
+    lp = h.getLp()
+    a = lp.a_matrix_
+    return [lp.num_col_, lp.num_row_, int(lp.sense_), lp.offset_, int(a.format_), a.num_col_,
+            a.num_row_] + [np.asarray(v).tolist() for v in (
+                lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+                a.start_, a.index_, a.value_)]
+
+
+def test_session_passes_the_model_of_a_highs_lp_build():
+    # random sparse models, one without rows and one with an all-zero matrix
+    rng = np.random.default_rng(35)
+    shapes = [(int(rng.integers(1, 8)), int(rng.integers(1, 10))) for _ in range(40)]
+    for k, (m, n) in enumerate(shapes + [(0, 4), (3, 5)]):
+        A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.5) * (k < len(shapes))
+        lb = -rng.uniform(0.5, 2.0, size=n)
+        p = LpProblem(rng.normal(size=n), A, rng.normal(size=m), lb, lb + rng.uniform(0, 3, n))
+        session = LpSession(p)
+        assert _model_of(session._highs) == _model_of(_highs_lp_build(p))
+        assert set(session._highs.getLp().integrality_) <= {_highs.HighsVarType.kContinuous}
 
 
 def test_session_matches_lp_solve_over_cost_changes():

@@ -15,7 +15,8 @@ from hzreach.sets import FiberLp
 
 from hzreach.projection import emit_projection
 
-from conftest import box, membership_predicate, mixed_hz, random_hz, unit_directions
+from conftest import (box, certified_by_duals, membership_predicate, mixed_hz, random_hz,
+                      unit_directions)
 
 DATA = Path(__file__).parent / "data"
 
@@ -424,6 +425,17 @@ def test_samples_follow_draw_order_of_one_shot_reference():
     # points differ within a leaf, so a reordering of its rows shows
     assert len({tuple(row) for row in np.round(ref, 6)}) > len(leaves)
     assert np.max(np.abs(Z.sample_points(k, seed) - ref)) <= 1e-9
+    # one leaf, without binaries or with one feasible assignment of two: all
+    # costs come from one call, bit for bit the per-draw loop's points
+    rng = np.random.default_rng(24)
+    for W in (random_hz(rng, dim=2, n_g=4, n_b=0, n_c=1), mixed_hz(rng, 2, 4, 1.0, 1.0)):
+        (xb,) = W.feasible_binary_assignments()
+        draws = np.random.default_rng(seed)
+        costs = np.empty((k, W.n_g))
+        for j in range(k):
+            assert draws.integers(1) == 0
+            costs[j] = draws.standard_normal(W.n_g)
+        assert np.array_equal(W.sample_points(k, seed), FiberLp(W).points(xb, costs))
 
 
 # -- soundness of the intersection identity -----------------------------------
@@ -531,6 +543,41 @@ def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, si
         for cost, xc in zip(costs, fibers.points(xb, costs)):
             assert cost @ xc == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
             assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c, 1e-6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["random", "mixed", "flat"]),
+       n_g=st.integers(2, 5), n_b=st.integers(0, 2), n_c=st.integers(1, 3),
+       side=st.sampled_from([-1.0, 1.0]), delta=st.floats(0.0, FEAS_TOL / 2))
+def test_certificate_matches_dual_oracle(seed, source, n_g, n_b, n_c, side, delta):
+    # one solve over the tested columns certifies the costs that solving
+    # B.T @ y = c_B per cost does, wherever no reduced cost is near zero,
+    # and a certified cost has the one-shot LP's objective
+    rng = np.random.default_rng(seed)
+    if source == "flat":
+        Z = HybridZonotope.load(DATA / "flat_fibers.json")
+    elif source == "mixed":
+        Z = mixed_hz(rng, 2, n_g, side, delta)
+    else:
+        Z = random_hz(rng, dim=2, n_g=n_g, n_b=n_b, n_c=n_c)
+    fibers = FiberLp(Z)
+    for i in rng.permutation(len(Z.feasible_binary_assignments()))[:3]:
+        xb = Z.feasible_binary_assignments()[i]
+        costs = rng.standard_normal((40, Z.n_g))
+        costs[20:] = costs[0] * rng.uniform(0.5, 2.0, size=(20, 1))  # share its basis
+        costs[30:] += 1e-3 * rng.standard_normal((10, Z.n_g))
+        slack = 0.0
+        res = fibers._solve(slack, xb, costs[0])
+        if not res.is_optimal:
+            slack = FEAS_TOL
+            res = fibers._solve(slack, xb, costs[0])
+        assert res.is_optimal
+        mask = fibers._certified(slack, res.x, costs[1:])
+        ref, margin = certified_by_duals(fibers, slack, res.x, costs[1:])
+        clear = margin > 1e-9
+        assert np.array_equal(mask[clear], ref[clear])
+        for cost in costs[1:][mask]:
+            assert cost @ res.x[:Z.n_g] == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
 
 
 def _count_solves(monkeypatch) -> list:
