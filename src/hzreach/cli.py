@@ -23,7 +23,7 @@ from .errors import HzReachError
 from .model import load_model
 from .projection import emit_projection, write_points_csv, write_svg
 from .reach import brs, frs, predicted_for_step, rank_unstable, state_pairs
-from .sets import HybridZonotope
+from .sets import FiberLp, HybridZonotope
 from .verify import Safety, verify_backward, verify_forward
 
 _EXIT_BY_STATUS = {Safety.SAFE: 0, Safety.UNSAFE: 2, Safety.UNKNOWN: 3}
@@ -67,13 +67,14 @@ def _emit_set(args, stem: str, hz: HybridZonotope, seed: int):
     hz.save(args.out / f"{stem}.json")
     if hz.is_empty():
         return [], None
-    samples = hz.sample_points(_SAMPLES_PER_SET, seed)
+    fibers = FiberLp(hz)  # one set of LP sessions for the draws and the polygons
+    samples = fibers.sample(_SAMPLES_PER_SET, seed)
     dims = args.dims if hz.dim >= 2 else (0,)
     points = samples[:, list(dims)]
     write_points_csv(args.out / f"{stem}_points.csv", points, dims)
     if hz.dim < 2:
         return [], None
-    polygons = emit_projection(hz, args.dims, args.dirs)
+    polygons = emit_projection(fibers, args.dims, args.dirs)
     write_svg(args.out / f"{stem}.svg", [(stem, polygons, points)])
     return polygons, points
 
@@ -131,7 +132,7 @@ def cmd_backward(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.model)
     domain = HybridZonotope.load(args.domain)
     initial = HybridZonotope.load(args.initial)
     unsafe = HybridZonotope.load(args.unsafe)
@@ -195,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "verification of closed-loop ReLU RNNs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, domain=False, initial=False, target=False, unsafe=False):
+    def add_common(p, *, domain=False, initial=False, target=False, unsafe=False,
+                   dims=False):
         p.add_argument("--model", type=Path, required=True, help="model JSON")
         if domain:
             p.add_argument("--domain", type=Path, required=True,
@@ -214,17 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binary limit (default: no relaxation)")
         p.add_argument("--hull", choices=("table", "exact"),
                        default="table", help="interval source for ReLU stages")
-        p.add_argument("--dims", type=_dims, default=(0, 1),
-                       help="coordinate pair for projections, e.g. 0,1")
+        if dims:
+            p.add_argument("--dims", type=_dims, default=(0, 1),
+                           help="coordinate pair for projections, e.g. 0,1")
+        # verify draws no polygons but accepts --dirs, so one command line of
+        # shared options serves all three subcommands
         p.add_argument("--dirs", type=int, default=64,
                        help="starting directions of each projection polygon")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p_fwd = sub.add_parser("forward", help="compute forward reachable sets")
-    add_common(p_fwd, domain=True, initial="req")
+    add_common(p_fwd, domain=True, initial="req", dims=True)
     p_bwd = sub.add_parser("backward", help="compute backward reachable sets")
-    add_common(p_bwd, domain=True, initial=True, target=True)
+    add_common(p_bwd, domain=True, initial=True, target=True, dims=True)
     p_ver = sub.add_parser("verify", help="verify safety against an unsafe set")
     add_common(p_ver, domain=True, initial="req", unsafe=True)
     return parser

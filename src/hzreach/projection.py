@@ -12,21 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError
-from .sets import FEAS_TOL, FiberLp, HybridZonotope
+from .sets import FEAS_TOL, FiberLp
 
 
-def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
-    """Vertices, counter-clockwise, of one binary fiber of a 2-D set.
+def support_polygon(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
+                    k_dirs: int) -> np.ndarray:
+    """Vertices, counter-clockwise, of one binary fiber's projection onto
+    coordinates ``dims``.
 
-    The start is the fiber's support maximizers in k_dirs >= 3 equally
-    spaced directions, which are fiber points in counter-clockwise order; a
-    point within tol = FEAS_TOL times the fiber's extent of the one before
-    is merged into it.  Each edge is then checked in its outward normal: a
-    maximizer beyond the edge by more than tol is inserted between the
-    edge's two ends, otherwise the edge is a facet.  Last, a vertex within
-    tol of the segment joining its neighbours, such as a start maximizer
-    inside an edge, is dropped.  A flat fiber comes out as a segment (two
-    vertices) or a point (one).
+    Each 2-D direction is embedded at ``dims`` and maximized over the fiber
+    itself (``_maximizers``).  The start is the fiber's support maximizers in
+    k_dirs >= 3 equally spaced directions, which are fiber points in
+    counter-clockwise order; a point within tol = FEAS_TOL times the fiber's
+    extent of the one before is merged into it.  Each edge is then checked
+    in its outward normal: a maximizer beyond the edge by more than tol is
+    inserted between the edge's two ends, otherwise the edge is a facet.
+    Last, a vertex within tol of the segment joining its neighbours, such as
+    a start maximizer inside an edge, is dropped.  A flat fiber comes out as
+    a segment (two vertices) or a point (one).
 
     The loop ends: each insertion is a fiber point strictly outside the
     current polygon, which only grows, so no point is inserted twice, and
@@ -34,7 +37,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    starts = fibers.maximizers(xb, dirs)
+    starts = _maximizers(fibers, xb, dims, dirs)
     tol = FEAS_TOL * float(np.ptp(starts, axis=0).max())
     poly = []
     for p in starts:
@@ -46,7 +49,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     while len(poly) > 1 and i < len(poly):
         a, b = poly[i], poly[(i + 1) % len(poly)]
         n = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
-        p = fibers.maximizers(xb, n[None])[0]
+        p = _maximizers(fibers, xb, dims, n[None])[0]
         if n @ (p - a) > tol:
             poly.insert(i + 1, p)
         else:
@@ -61,6 +64,15 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, k_dirs: int) -> np.ndarray:
     return np.array(poly)
 
 
+def _maximizers(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
+                dirs: np.ndarray) -> np.ndarray:
+    """Coordinates ``dims`` of the fiber points maximizing the 2-D ``dirs``
+    embedded at ``dims``."""
+    embedded = np.zeros((len(dirs), fibers.hz.dim))
+    embedded[:, list(dims)] = dirs
+    return fibers.maximizers(xb, embedded)[:, list(dims)]
+
+
 def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance from point p to the segment [a, b]."""
     d = b - a
@@ -68,13 +80,16 @@ def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.hypot(*(p - a - s * d)))
 
 
-def emit_projection(Z: HybridZonotope, dims: tuple[int, int],
-                    k_dirs: int = 64) -> list[np.ndarray]:
-    """One convex polygon per feasible binary assignment of the projection.
+def emit_projection(fibers: FiberLp, dims: tuple[int, int],
+                    k_dirs: int) -> list[np.ndarray]:
+    """One convex polygon per feasible binary assignment of the set
+    ``fibers.hz``.
 
     Each polygon is its fiber's projection onto coordinates ``dims``, exact
     to FEAS_TOL of the fiber's extent (see ``support_polygon``); their union
     is the set's projection.  ``k_dirs`` directions start the refinement.
+    The LPs run in the sessions of ``fibers``, which the set's draws may
+    share (``FiberLp.sample``).
 
     Raises:
         EmptySetError: if the set is empty.
@@ -84,12 +99,10 @@ def emit_projection(Z: HybridZonotope, dims: tuple[int, int],
         raise ValueError("projection needs two distinct coordinates")
     if k_dirs < 3:
         raise ValueError("projection needs at least 3 directions")
-    P = Z.project([i, j])
-    assignments = Z.feasible_binary_assignments()  # P has Z's constraints
+    assignments = fibers.hz.feasible_binary_assignments()
     if not assignments:
         raise EmptySetError("cannot project an empty set")
-    fibers = FiberLp(P)
-    return [support_polygon(fibers, xb, k_dirs) for xb in assignments]
+    return [support_polygon(fibers, xb, (i, j), k_dirs) for xb in assignments]
 
 
 def write_points_csv(path, points: np.ndarray, dims) -> None:

@@ -12,8 +12,9 @@ leaves once per set, with every row allowed FEAS_TOL of slack, and
 emptiness, support, exact interval hulls and sampling are answered from that
 cache: support and hull values are the max/min over member points of the
 leaves' fibers (``FiberLp.points``), which hold the rows exactly in a fiber
-that allows it.  Membership enumerates the leaves of the set with the
-point's rows added.
+that allows it.  Membership of a point is emptiness of the set's
+intersection with the point, at the same FEAS_TOL, searched among the set's
+cached leaves once it has them.
 """
 
 from __future__ import annotations
@@ -270,29 +271,23 @@ class HybridZonotope:
 
     # -- optimization-backed queries -----------------------------------
 
-    def _milp(self, extra_rows: np.ndarray | None = None, extra_rhs: np.ndarray | None = None,
-              slack: float = 0.0) -> MilpProblem:
+    def _milp(self, slack: float = 0.0) -> MilpProblem:
         """Assemble the factor-space feasibility MILP (zero cost) for this set.
 
         Variables are [xc, xb] plus, when ``slack`` > 0, one bounded residual
         variable per equality row so that rows only need to hold within the
         requested infinity-norm slack.
         """
-        A = np.hstack([self.Ac, self.Ab]) if self.n_c else np.zeros((0, self.n_g + self.n_b))
-        rhs = self.b
-        if extra_rows is not None:
-            A = np.vstack([A, extra_rows]) if A.size or extra_rows.size else extra_rows
-            rhs = np.concatenate([rhs, extra_rhs])
-        n_rows = rhs.size
+        A = np.hstack([self.Ac, self.Ab])
         nv = self.n_g + self.n_b
         lb = -np.ones(nv)
         ub = np.ones(nv)
-        if slack > 0.0 and n_rows:
-            A = np.hstack([A, np.eye(n_rows)])
-            lb = np.concatenate([lb, -slack * np.ones(n_rows)])
-            ub = np.concatenate([ub, slack * np.ones(n_rows)])
-        binaries = tuple(range(self.n_g, self.n_g + self.n_b))
-        return MilpProblem(LpProblem(np.zeros(lb.size), A, rhs, lb, ub), binaries)
+        if slack > 0.0 and self.n_c:
+            A = np.hstack([A, np.eye(self.n_c)])
+            lb = np.concatenate([lb, -slack * np.ones(self.n_c)])
+            ub = np.concatenate([ub, slack * np.ones(self.n_c)])
+        binaries = tuple(range(self.n_g, nv))
+        return MilpProblem(LpProblem(np.zeros(lb.size), A, self.b, lb, ub), binaries)
 
     def _enumerate(self, p: MilpProblem, candidates: tuple | None = None) -> list[np.ndarray]:
         """``enumerate_binary_leaves``, naming this set in its errors."""
@@ -307,19 +302,20 @@ class HybridZonotope:
         """True iff no feasible factor assignment exists (within FEAS_TOL slack)."""
         return self.n_c > 0 and not self.feasible_binary_assignments()
 
-    def contains_point(self, x, tol: float | None = None) -> bool:
-        """Membership of a point: does some leaf admit factors satisfying both
-        the constraints and Gc @ xc + Gb @ xb = x - c, each row within
-        infinity-norm ``tol`` (default FEAS_TOL)?"""
+    def contains_point(self, x) -> bool:
+        """Membership of a point: is the set's intersection with the point
+        nonempty (``is_empty``, every row within FEAS_TOL)?  The point adds
+        rows but no binaries, so a set whose leaves are cached has the
+        intersection test only those (``generalized_intersect``).
+
+        Raises:
+            ValueError: if the point has the wrong dimension or a non-finite
+                coordinate.
+        """
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise ValueError("point dimension mismatch")
-        if tol is None:
-            tol = FEAS_TOL
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        rows = np.hstack([self.Gc, self.Gb])
-        return bool(self._enumerate(self._milp(rows, x - self.c, slack=tol)))
+        return not self.generalized_intersect(HybridZonotope.from_point(x)).is_empty()
 
     def support(self, d) -> float:
         """max over the set of d @ x: the largest over the cached leaves of
@@ -386,39 +382,13 @@ class HybridZonotope:
         return list(self._leaves)
 
     def sample_points(self, k: int, seed: int) -> np.ndarray:
-        """k member points, deterministic for a fixed seed, shape (k, dim).
-
-        Each draw picks one of the cached leaves at random, and the
-        continuous factors solve that fiber's LP with a random objective, so
-        samples land on vertices of the chosen fiber.  All draws are made
-        first, and each leaf's draws are solved as one batch in draw order
-        (``FiberLp.points``); row j is still the j-th draw's point.  A set
-        with one leaf draws all costs in one call, which yields the same
-        stream as the per-draw loop, since choosing among one leaf consumes
-        no random bits.
+        """k member points, deterministic for a fixed seed, shape (k, dim)
+        (``FiberLp.sample``).
 
         Raises:
             EmptySetError: if the set is empty.
         """
-        assignments = self.feasible_binary_assignments()
-        if not assignments:
-            raise EmptySetError("cannot sample an empty set")
-        rng = np.random.default_rng(seed)
-        if len(assignments) == 1:  # rng.integers(1) draws nothing from the stream
-            leaf = np.zeros(k, dtype=int)
-            costs = rng.standard_normal((k, self.n_g))
-        else:
-            leaf = np.empty(k, dtype=int)
-            costs = np.empty((k, self.n_g))
-            for j in range(k):
-                leaf[j] = rng.integers(len(assignments))
-                costs[j] = rng.standard_normal(self.n_g)
-        fibers = FiberLp(self)
-        out = np.empty((k, self.dim))
-        for i, xb in enumerate(assignments):
-            rows = np.flatnonzero(leaf == i)
-            out[rows] = fibers.points(xb, costs[rows])
-        return out
+        return FiberLp(self).sample(k, seed)
 
     # -- serialization -------------------------------------------------
 
@@ -471,10 +441,11 @@ class FiberLp:
 
     The fiber of a binary assignment xb is the constrained zonotope left when
     the binaries are fixed to xb.  One LpSession per row slack over the set's
-    factor space serves every fiber and cost of a query: a fiber's binaries
-    are pinned through column bounds, which change only when the fiber
-    does.  The session with the FEAS_TOL residual columns is built only for a
-    set with a fiber that needs it.  A batch of costs over one fiber
+    factor space serves every fiber and cost of the queries made through
+    one instance (a set's draws and its polygons can share one): a fiber's
+    binaries are pinned through column bounds, which change only when the
+    fiber does.  The session with the FEAS_TOL residual columns is built only
+    for a set with a fiber that needs it.  A batch of costs over one fiber
     (``points``) pays one LP per distinct optimal basis, not one per cost.
     """
 
@@ -483,6 +454,42 @@ class FiberLp:
         self._sessions: dict = {}  # row slack -> (LpSession, MilpProblem)
         self._pinned: dict = {}  # row slack -> (pinned fiber, its column bounds lb, ub)
         self._movable: dict = {}  # row slack -> columns of the pinned fiber that can move
+
+    def sample(self, k: int, seed: int) -> np.ndarray:
+        """k member points of the set, deterministic for a fixed seed, shape
+        (k, dim).
+
+        Each draw picks one of the cached leaves at random, and the
+        continuous factors solve that fiber's LP with a random objective, so
+        samples land on vertices of the chosen fiber.  All draws are made
+        first, and each leaf's draws are solved as one batch in draw order
+        (``points``); row j is still the j-th draw's point.  A set with one
+        leaf draws all costs in one call, which yields the same stream as
+        the per-draw loop, since choosing among one leaf consumes no random
+        bits.
+
+        Raises:
+            EmptySetError: if the set is empty.
+        """
+        hz = self.hz
+        assignments = hz.feasible_binary_assignments()
+        if not assignments:
+            raise EmptySetError("cannot sample an empty set")
+        rng = np.random.default_rng(seed)
+        if len(assignments) == 1:  # rng.integers(1) draws nothing from the stream
+            leaf = np.zeros(k, dtype=int)
+            costs = rng.standard_normal((k, hz.n_g))
+        else:
+            leaf = np.empty(k, dtype=int)
+            costs = np.empty((k, hz.n_g))
+            for j in range(k):
+                leaf[j] = rng.integers(len(assignments))
+                costs[j] = rng.standard_normal(hz.n_g)
+        out = np.empty((k, hz.dim))
+        for i, xb in enumerate(assignments):
+            rows = np.flatnonzero(leaf == i)
+            out[rows] = self.points(xb, costs[rows])
+        return out
 
     def points(self, xb: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """Member points of fiber ``xb``, one per row of ``costs``: row i is

@@ -21,7 +21,6 @@ from .model import simulate
 from .reach import ReachSeries, brs, frs
 from .sets import HybridZonotope
 
-WITNESS_TOL = 1e-6
 WITNESS_SAMPLES = 16
 
 
@@ -59,10 +58,11 @@ class UnsafeSequenceSet:
 
 def _confirm(series: ReachSeries, candidates: np.ndarray, unsafe: HybridZonotope,
              t: int):
-    """First sampled initial state whose simulated step-t state is in the set."""
+    """First sampled initial state whose simulated step-t state is in the set
+    (``contains_point``, at FEAS_TOL like every feasibility decision)."""
     for x1 in candidates:
         traj = simulate(series.model, x1, t)
-        if unsafe.contains_point(traj.states[t - 1], WITNESS_TOL):
+        if unsafe.contains_point(traj.states[t - 1]):
             return x1
     return None
 
@@ -159,7 +159,7 @@ def unsafe_sequences(series: ReachSeries, unsafe: HybridZonotope,
     samples = seed_hz.sample_points(k, seed)
     for x1 in samples:
         traj = simulate(series.model, x1, t)
-        if not unsafe.contains_point(traj.states[t - 1], WITNESS_TOL):
+        if not unsafe.contains_point(traj.states[t - 1]):
             raise AssertionError("sampled seed failed simulation confirmation; "
                                  "exact-plan invariant violated")
     sequence = [seed_hz] + [frs(series, seed_hz, step) for step in range(2, t + 1)]

@@ -7,7 +7,7 @@ import pytest
 
 from hzreach import (ClosedLoopRnn, HybridZonotope, LpProblem, RnnLayer,
                      SolveStatus, lp_solve)
-from hzreach.lp import LpSession, pinned_bounds
+from hzreach.lp import LpSession, enumerate_binary_leaves, pinned_bounds
 from hzreach.systems import gate_system, half_system
 
 
@@ -190,9 +190,16 @@ def certified_by_duals(fibers, slack, x, costs):
     return mask, margin
 
 
-def membership_predicate(Z, Y, R, x, tol=1e-7):
+def member_within(Z, x, tol) -> bool:
+    """Membership with every row within ``tol`` instead of FEAS_TOL: the
+    point's intersection MILP at that slack, searched from the root."""
+    p = Z.generalized_intersect(HybridZonotope.from_point(x))._milp(slack=tol)
+    return bool(enumerate_binary_leaves(p))
+
+
+def membership_predicate(Z, Y, R, x):
     """Direct two-call oracle for the generalized-intersection identity."""
-    return Z.contains_point(x, tol) and Y.contains_point(R @ np.asarray(x), tol)
+    return Z.contains_point(x) and Y.contains_point(R @ np.asarray(x))
 
 
 def polygon_area(vertices) -> float:

@@ -23,12 +23,10 @@ from conftest import (box, grid_points, membership_predicate,
                       milp_by_enumeration, polygon_area, random_hz,
                       random_system, unit_directions)
 
-MEMBER_TOL = 1e-6        # trajectory/endpoint membership
+PAIR_TOL = 1e-6          # distance of a simulated state to its sampled pair
 SUPPORT_MONO_TOL = 1e-7  # support monotonicity across binary limits
 RECOVER_TOL = 1e-6       # support agreement when the budget covers all units
-GRAPH_TOL = 1e-7         # ReLU graph membership
 AREA_TOL = 1e-9          # triangle area
-EQ1_TOL = 1e-7           # intersection identity membership
 MILP_FEAS_TOL = 1e-7     # constraint residual of MILP solutions
 
 
@@ -107,13 +105,13 @@ def test_criterion_2_exactness_of_pair_sets_and_reach_sets():
             R = frs(series, X1, t)
             for x1 in grid:
                 endpoint = simulate(m, x1, t).states[t - 1]
-                assert R.contains_point(endpoint, MEMBER_TOL)
+                assert R.contains_point(endpoint)
         # (b) 200 sampled pairs per pair set satisfy the dynamics
         for t in range(2, T + 1):
             S = series.pair_set(t)
             for p in S.sample_points(200, 1000 + t):
                 traj = simulate(m, p[:n], t)
-                assert np.max(np.abs(traj.states[t - 1] - p[n:])) <= MEMBER_TOL
+                assert np.max(np.abs(traj.states[t - 1] - p[n:])) <= PAIR_TOL
         # (c) BRS grid oracle at the final step
         endpoints = np.array([simulate(m, x1, T).states[T - 1] for x1 in grid])
         center = np.median(endpoints, axis=0)
@@ -124,8 +122,8 @@ def test_criterion_2_exactness_of_pair_sets_and_reach_sets():
             margin = np.min(np.minimum(endpoint - (center - radius),
                                        (center + radius) - endpoint))
             if abs(margin) < 1e-5:
-                continue  # boundary cases are ambiguous at the 1e-6 tolerance
-            assert P.contains_point(x1, MEMBER_TOL) == (margin > 0)
+                continue  # boundary cases are ambiguous at the FEAS_TOL tolerance
+            assert P.contains_point(x1) == (margin > 0)
     _progress("2 (exact FRS/BRS and pair sets)", start, 600)
 
 
@@ -153,7 +151,7 @@ def test_criterion_3_relaxation_laws():
                 # (a) nesting: tighter budget contains looser one
                 assert np.all(sup <= prev_sup + SUPPORT_MONO_TOL)
                 for p in R.sample_points(20, n_b):
-                    assert prev_R.contains_point(p, MEMBER_TOL)
+                    assert prev_R.contains_point(p)
             prev_sup, prev_R = sup, R
         # (b) full budget reproduces the exact sets
         full = state_pairs(m, X, T, rank_unstable(tbl, n_total), table=tbl)
@@ -162,9 +160,9 @@ def test_criterion_3_relaxation_laws():
             for d in dirs:
                 assert abs(A.support(d) - B.support(d)) <= RECOVER_TOL
             for p in A.sample_points(15, t):
-                assert B.contains_point(p, MEMBER_TOL)
+                assert B.contains_point(p)
             for p in B.sample_points(15, 50 + t):
-                assert A.contains_point(p, MEMBER_TOL)
+                assert A.contains_point(p)
     _progress("3 (relaxation laws)", start, 600)
 
 
@@ -177,13 +175,13 @@ def test_criterion_4_relu_graph_fidelity():
     span = iv.beta - iv.alpha
     for x in np.linspace(iv.alpha, iv.beta, 201):
         y = max(0.0, x)
-        assert H.contains_point([x, y], GRAPH_TOL)
-        assert not H.contains_point([x, y + 0.02 * span], GRAPH_TOL)
-        assert not H.contains_point([x, y - 0.02 * span], GRAPH_TOL)
+        assert H.contains_point([x, y])
+        assert not H.contains_point([x, y + 0.02 * span])
+        assert not H.contains_point([x, y - 0.02 * span])
     # triangle relaxation contains the graph
     tri = graph_triangle(iv)
     for p in H.sample_points(100, 0):
-        assert tri.contains_point(p, GRAPH_TOL)
+        assert tri.contains_point(p)
     # triangle area matches -alpha*beta/2 for 50 random intervals
     from test_relu import triangle_vertices_from_supports
     for _ in range(50):
@@ -211,7 +209,7 @@ def test_criterion_5_intersection_identity():
                          rng.normal(size=(5, dim_z)) * 1.5])
         for x in pts:
             total += 1
-            if out.contains_point(x, EQ1_TOL) != membership_predicate(Z, Y, R, x, EQ1_TOL):
+            if out.contains_point(x) != membership_predicate(Z, Y, R, x):
                 disagreements += 1
     assert total == 200
     assert disagreements == 0
@@ -233,12 +231,12 @@ def test_criterion_6_safety_verification():
     assert fwd.status is Safety.UNSAFE and bwd.status is Safety.UNSAFE
     for t, x1 in fwd.witnesses + bwd.witnesses:
         traj = simulate(half, x1, t)
-        assert unsafe_box.contains_point(traj.states[t - 1], MEMBER_TOL)
+        assert unsafe_box.contains_point(traj.states[t - 1])
     # unsafe-sequence seeds all reach the unsafe set at the reported step
     seq = unsafe_sequences(bwd_series, unsafe_box, X1, 3, k=10)
     for x1 in seq.seed_samples:
         traj = simulate(half, x1, 3)
-        assert unsafe_box.contains_point(traj.states[2], MEMBER_TOL)
+        assert unsafe_box.contains_point(traj.states[2])
     # forward/backward agreement on exact plans across 20 random systems
     rng = np.random.default_rng(106)
     agreements = {"safe": 0, "unsafe": 0}
@@ -332,11 +330,11 @@ def test_criterion_8_end_to_end_workflow_rerun(tmp_path):
         R = frs(series, X1, t)
         for x1 in grid:
             endpoint = simulate(m, x1, t).states[t - 1]
-            assert R.contains_point(endpoint, MEMBER_TOL)
+            assert R.contains_point(endpoint)
     S = series.pair_set(T)
     for p in S.sample_points(200, 8):
         traj = simulate(m, p[:n], T)
-        assert np.max(np.abs(traj.states[T - 1] - p[n:])) <= MEMBER_TOL
+        assert np.max(np.abs(traj.states[T - 1] - p[n:])) <= PAIR_TOL
     # criterion-3 nesting across the binary-limit ladder
     tbl = series.table
     n_total = len(tbl.unstable_index())

@@ -14,7 +14,6 @@ from hzreach.projection import emit_projection, write_points_csv, write_svg
 from hzreach.sets import FiberLp
 from hzreach.relu import graph_triangle
 from hzreach.systems import demo_initial_box, demo_system, gate_system, half_system
-from hzreach.verify import WITNESS_TOL
 
 from conftest import box, distance_to_convex_polygon, polygon_area
 
@@ -23,7 +22,7 @@ from conftest import box, distance_to_convex_polygon, polygon_area
 
 def test_unit_box_projects_to_square():
     Z = box([-1, -1], [1, 1])
-    polys = emit_projection(Z, (0, 1), 64)
+    polys = emit_projection(FiberLp(Z), (0, 1), 64)
     assert len(polys) == 1
     poly = polys[0]
     for d in (np.array([1.0, 0]), np.array([0, 1.0]),
@@ -37,7 +36,7 @@ def test_unit_box_projects_to_square():
 def test_triangle_projection_area():
     for alpha, beta in [(-1.0, 1.0), (-2.0, 0.5), (-0.4, 1.6)]:
         tri = graph_triangle(NeuronInterval(alpha, beta))
-        polys = emit_projection(tri, (0, 1), 96)
+        polys = emit_projection(FiberLp(tri), (0, 1), 96)
         assert len(polys) == 1
         assert polygon_area(polys[0]) == pytest.approx(-alpha * beta / 2, abs=1e-6)
 
@@ -46,7 +45,7 @@ def test_sampled_points_fall_inside_polygon_union():
     rng = np.random.default_rng(0)
     from conftest import random_hz
     Z = random_hz(rng, dim=3, n_g=4, n_b=2, n_c=2)
-    polys = emit_projection(Z, (0, 2), 64)
+    polys = emit_projection(FiberLp(Z), (0, 2), 64)
     pts = Z.sample_points(500, 1)[:, [0, 2]]
     for p in pts:
         assert min(distance_to_convex_polygon(p, poly) for poly in polys) <= 1e-6
@@ -56,7 +55,7 @@ def test_flat_fibers_keep_their_polygons():
     # FRS_2 of the demo model on the unit square: most of its fibers are
     # segments on x_0 = 0, which exact support offsets used to cut away
     Z = HybridZonotope.load(Path(__file__).parent / "data" / "flat_fibers.json")
-    polys = emit_projection(Z, (0, 1), 16)
+    polys = emit_projection(FiberLp(Z), (0, 1), 16)
     fibers = FiberLp(Z)
     rng = np.random.default_rng(0)
     for xb, poly in zip(Z.feasible_binary_assignments(), polys):
@@ -71,7 +70,7 @@ def test_thin_fiber_polygon_has_few_vertices():
     # its two end points, and every edge check finds nothing beyond, so the
     # polygon is the segment itself, not a ring of near-duplicate points
     Z = HybridZonotope(Gc=[[0.016], [0.0]], c=[0.016, 0.0])
-    (poly,) = emit_projection(Z, (0, 1), 64)
+    (poly,) = emit_projection(FiberLp(Z), (0, 1), 64)
     assert len(poly) <= 4
     for s in np.linspace(0.0, 0.032, 9):
         assert distance_to_convex_polygon([s, 0.0], poly) <= 1e-6
@@ -94,7 +93,7 @@ def test_projection_vertices_all_turn():
     X = box([0.0, 0.0], [1.0, 1.0])
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 2)
     series = state_pairs(m, X, 2, exact_plan(tbl), table=tbl)
-    polys = emit_projection(frs(series, box([0.0, 0.6], [1.0, 1.0]), 2), (0, 1), 16)
+    polys = emit_projection(FiberLp(frs(series, box([0.0, 0.6], [1.0, 1.0]), 2)), (0, 1), 16)
     assert any(len(p) == 2 for p in polys) and any(len(p) > 2 for p in polys)
     for poly in polys:
         assert np.all(_turns(poly) > 1e-9)
@@ -103,13 +102,13 @@ def test_projection_vertices_all_turn():
 def test_projection_of_empty_set_raises():
     empty = HybridZonotope(Gc=[[1.0], [0.0]], c=[0.0, 0.0], Ac=[[1.0]], b=[9.0])
     with pytest.raises(EmptySetError):
-        emit_projection(empty, (0, 1))
+        emit_projection(FiberLp(empty), (0, 1), 64)
 
 
 def test_projection_polygon_per_binary_assignment():
     # two disjoint fibers: a binary generator splits the set into two squares
     Z = HybridZonotope(Gc=0.2 * np.eye(2), Gb=[[1.0], [0.0]], c=[0.0, 0.0])
-    polys = emit_projection(Z, (0, 1), 32)
+    polys = emit_projection(FiberLp(Z), (0, 1), 32)
     assert len(polys) == 2
     centers = sorted(float(np.mean(p[:, 0])) for p in polys)
     assert centers[0] == pytest.approx(-1.0, abs=1e-6)
@@ -118,13 +117,13 @@ def test_projection_polygon_per_binary_assignment():
 
 def test_projection_rejects_equal_dims():
     with pytest.raises(ValueError):
-        emit_projection(box([0, 0], [1, 1]), (1, 1))
+        emit_projection(FiberLp(box([0, 0], [1, 1])), (1, 1), 64)
 
 
 def test_projection_rejects_fewer_than_three_directions(tmp_path, half_files):
     # two opposite directions cannot tell a point from a segment across them
     with pytest.raises(ValueError, match="at least 3"):
-        emit_projection(box([0, 0], [1, 1]), (0, 1), 2)
+        emit_projection(FiberLp(box([0, 0], [1, 1])), (0, 1), 2)
     code = main(["forward", "--model", str(half_files / "model.json"),
                  "--domain", str(half_files / "domain.json"),
                  "--initial", str(half_files / "initial.json"),
@@ -140,7 +139,7 @@ def test_polygon_supports_match_lp_supports():
     from conftest import random_hz
     Z = random_hz(rng, dim=2, n_g=4, n_b=1, n_c=1)
     k = 24
-    polys = emit_projection(Z, (0, 1), k)
+    polys = emit_projection(FiberLp(Z), (0, 1), k)
     assignments = Z.feasible_binary_assignments()
     assert len(polys) == len(assignments)
     for poly, xb in zip(polys, assignments):
@@ -154,7 +153,7 @@ def test_polygon_supports_match_lp_supports():
         # and from the inside: every vertex is a point of the fiber
         fiber = HybridZonotope(Gc=Z.Gc, c=Z.c + Z.Gb @ xb, Ac=Z.Ac, b=Z.b - Z.Ab @ xb)
         for v in poly:
-            assert fiber.contains_point(v, 1e-6)
+            assert fiber.contains_point(v)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -174,7 +173,7 @@ def test_zonotope_projects_to_all_its_vertices(k, rows):
     mids = (normals + np.append(normals[1:], normals[0] + 2 * np.pi)) / 2
     dirs = np.column_stack([np.cos(mids), np.sin(mids)])
     vertices = np.array([c + G @ np.sign(d @ G) for d in dirs])
-    (poly,) = emit_projection(Z, (0, 1), k)
+    (poly,) = emit_projection(FiberLp(Z), (0, 1), k)
     assert len(poly) == 24
     gaps = np.linalg.norm(poly[:, None, :] - vertices[None, :, :], axis=2)
     assert np.max(np.min(gaps, axis=1)) <= 1e-9
@@ -448,8 +447,7 @@ def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, 
     assert report == expected
     for w in fwd["witnesses"] + bwd["witnesses"]:
         assert box(lo, hi).contains_point(w["x1"])
-        assert unsafe.contains_point(simulate(model, np.array(w["x1"]), w["t"]).states[-1],
-                                     WITNESS_TOL)
+        assert unsafe.contains_point(simulate(model, np.array(w["x1"]), w["t"]).states[-1])
     assert code == {"safe": 0, "unsafe": 2, "unknown": 3}[report["status"]]
     if system == "margin":
         assert report["status"] == ("safe" if nb is None else "unknown")
@@ -544,6 +542,18 @@ def test_bad_dims_exit_before_writing(planar_files, tmp_path, capsys, dims):
         "hzreach: error: --dims must name two distinct coordinates in [0, 2) "
         "of the 2-dimensional state")
     assert not out.exists()
+
+
+def test_verify_rejects_dims(tmp_path, capsys):
+    # verify draws no projection, so it has no --dims to check
+    argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(),
+                               _demo_hit_box(), 3)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dims", "0,1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "hzreach: error: unrecognized arguments: --dims 0,1" in err
+    assert not (tmp_path / "v").exists()
 
 
 def test_parser_built_once_keeps_no_values_between_calls(tmp_path):

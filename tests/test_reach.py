@@ -8,7 +8,6 @@ from hzreach import (ComplexityRecord, EmptyDomainError, HybridZonotope,
                      predict_complexity, predicted_for_step,
                      propagate_intervals, rank_unstable, simulate, state_pairs)
 from hzreach.bounds import BoundsTable
-from hzreach.verify import WITNESS_TOL
 
 from conftest import box, flip_system, grid_points, random_system, unit_directions
 
@@ -66,11 +65,11 @@ def test_half_system_pair_set_members(half):
     series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
     S2 = series.pair_set(2)
     for x in np.linspace(0, 1, 11):
-        assert S2.contains_point([x, 0.5 * x], 1e-7)
-    assert not S2.contains_point([0.5, 0.4], 1e-7)
+        assert S2.contains_point([x, 0.5 * x])
+    assert not S2.contains_point([0.5, 0.4])
     S3 = series.pair_set(3)
-    assert S3.contains_point([0.8, 0.2], 1e-7)
-    assert not S3.contains_point([0.8, 0.3], 1e-7)
+    assert S3.contains_point([0.8, 0.2])
+    assert not S3.contains_point([0.8, 0.3])
 
 
 def test_empty_domain_raises(half):
@@ -179,8 +178,8 @@ def test_brs_grid_oracle_exact_plan(gate):
     P = brs(series, target, t)
     hits = 0
     for x1 in np.linspace(0, 1, 41):
-        reaches = target.contains_point(simulate(gate, [x1], t).states[t - 1], 1e-9)
-        member = P.contains_point([x1], 1e-6)
+        reaches = target.contains_point(simulate(gate, [x1], t).states[t - 1])
+        member = P.contains_point([x1])
         assert member == reaches
         hits += int(reaches)
     assert 0 < hits < 41
@@ -207,7 +206,7 @@ def test_exact_pair_sets_on_random_systems():
                 assert np.max(np.abs(traj.states[t - 1] - p[1:])) <= 1e-6
             for x1 in grid_points(hull.lower, hull.upper, 9):
                 traj = simulate(m, x1, t)
-                assert S.contains_point(np.concatenate([x1, traj.states[t - 1]]), 1e-6)
+                assert S.contains_point(np.concatenate([x1, traj.states[t - 1]]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -232,11 +231,11 @@ def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
         R = frs(series, X1, t)
         for x1 in starts:
             x_t = simulate(m, x1, t).states[t - 1]
-            assert S.contains_point(np.concatenate([x1, x_t]), WITNESS_TOL)
-            assert R.contains_point(x_t, WITNESS_TOL)
+            assert S.contains_point(np.concatenate([x1, x_t]))
+            assert R.contains_point(x_t)
         for pair in S.sample_points(8, seed % 1000 + t):
             x_t = simulate(m, pair[:2], t).states[t - 1]
-            assert np.max(np.abs(x_t - pair[2:])) <= WITNESS_TOL
+            assert np.max(np.abs(x_t - pair[2:])) <= 1e-6
     end = simulate(m, starts[0], T).states[T - 1]
     target = box(end - 0.02, end + 0.02)
     back = brs(series, target, T)
@@ -249,7 +248,7 @@ def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
         xb.tolist() for xb in fresh.feasible_binary_assignments()]
     assert leaves
     for x1 in seed_set.sample_points(12, seed % 1000):
-        assert target.contains_point(simulate(m, x1, T).states[T - 1], WITNESS_TOL)
+        assert target.contains_point(simulate(m, x1, T).states[T - 1])
 
 
 def test_relaxed_pair_sets_contain_trajectories():
@@ -264,7 +263,7 @@ def test_relaxed_pair_sets_contain_trajectories():
             S = series.pair_set(t)
             for x1 in grid_points(hull.lower, hull.upper, 9):
                 traj = simulate(m, x1, t)
-                assert S.contains_point(np.concatenate([x1, traj.states[t - 1]]), 1e-6)
+                assert S.contains_point(np.concatenate([x1, traj.states[t - 1]]))
 
 
 def test_budget_at_least_n_t_recovers_exact_sets():
@@ -283,9 +282,9 @@ def test_budget_at_least_n_t_recovers_exact_sets():
         for d in unit_directions(32, 1, seed=t):
             assert A.support(d) == pytest.approx(B.support(d), abs=1e-6)
         for p in A.sample_points(20, t):
-            assert B.contains_point(p, 1e-6)
+            assert B.contains_point(p)
         for p in B.sample_points(20, 50 + t):
-            assert A.contains_point(p, 1e-6)
+            assert A.contains_point(p)
 
 
 def test_reachable_sets_shrink_monotonically_with_budget():
@@ -306,7 +305,7 @@ def test_reachable_sets_shrink_monotonically_with_budget():
         prev_series = _series_for(m, X, T, max(n_b - 1, 0), tbl)
         R_prev = frs(prev_series, X1, T)
         for p in R.sample_points(15, n_b):
-            assert R_prev.contains_point(p, 1e-6)
+            assert R_prev.contains_point(p)
         prev_support = sup
 
 

@@ -96,22 +96,22 @@ def test_unstable_graph_membership():
     H = graph_interval(NeuronInterval(-1, 1))
     assert H.complexity == ComplexityRecord(4, 1, 3)
     for pt in [(-1, 0), (-0.5, 0), (0, 0), (0.5, 0.5), (1, 1)]:
-        assert H.contains_point(pt, 1e-7)
-    assert not H.contains_point((-0.5, 0.3), 1e-7)
+        assert H.contains_point(pt)
+    assert not H.contains_point((-0.5, 0.3))
 
 
 def test_unstable_graph_equals_relu_on_grid():
     H = graph_interval(NeuronInterval(-0.7, 1.3))
     for x in np.linspace(-0.7, 1.3, 41):
-        assert H.contains_point([x, max(0.0, x)], 1e-7)
-        assert not H.contains_point([x, max(0.0, x) + 0.05], 1e-7)
+        assert H.contains_point([x, max(0.0, x)])
+        assert not H.contains_point([x, max(0.0, x) + 0.05])
 
 
 def test_triangle_contains_gap_point_graph_does_not():
     iv = NeuronInterval(-1, 1)
     tri, exact = graph_triangle(iv), graph_interval(iv)
-    assert tri.contains_point((-0.5, 0.2), 1e-7)
-    assert not exact.contains_point((-0.5, 0.2), 1e-7)
+    assert tri.contains_point((-0.5, 0.2))
+    assert not exact.contains_point((-0.5, 0.2))
 
 
 def test_triangle_complexity_and_structure():
@@ -137,7 +137,7 @@ def test_triangle_contains_exact_graph_samples():
     iv = NeuronInterval(-1.5, 0.8)
     tri, exact = graph_triangle(iv), graph_interval(iv)
     for p in exact.sample_points(100, 0):
-        assert tri.contains_point(p, 1e-7)
+        assert tri.contains_point(p)
 
 
 # -- vector graphs -------------------------------------------------------
@@ -157,8 +157,8 @@ def test_vector_graph_two_stable_positive_is_diagonal():
     assert gv.dim == 4
     for x1 in np.linspace(0.5, 2, 5):
         for x2 in np.linspace(1, 3, 5):
-            assert gv.contains_point([x1, x2, x1, x2], 1e-7)
-    assert not gv.contains_point([1, 2, 1, 2.5], 1e-7)
+            assert gv.contains_point([x1, x2, x1, x2])
+    assert not gv.contains_point([1, 2, 1, 2.5])
 
 
 def test_vector_graph_projections_match_per_neuron_graphs():
@@ -214,9 +214,9 @@ def test_layer_exact_on_grid():
     for x1 in np.linspace(-1, 1, 21):
         for x2 in np.linspace(-1, 1, 21):
             y = np.maximum([x1, x2], 0.0)
-            assert out.contains_point(y, 1e-7)
-            assert graph.contains_point([x1, x2, *y], 1e-7)
-    assert not out.contains_point([0.5, -0.05], 1e-7)
+            assert out.contains_point(y)
+            assert graph.contains_point([x1, x2, *y])
+    assert not out.contains_point([0.5, -0.05])
 
 
 def test_layer_exactness_with_witnesses():
@@ -228,9 +228,9 @@ def test_layer_exactness_with_witnesses():
         for p in graph.sample_points(20, trial):
             x, y = p[:dim], p[dim:]
             assert np.max(np.abs(y - np.maximum(x, 0.0))) <= 1e-7
-            assert Z.contains_point(x, 1e-7)
+            assert Z.contains_point(x)
         for x in Z.sample_points(20, 100 + trial):
-            assert out.contains_point(np.maximum(x, 0.0), 1e-6)
+            assert out.contains_point(np.maximum(x, 0.0))
 
 
 def test_layer_sound_under_any_labels():
@@ -239,7 +239,7 @@ def test_layer_sound_under_any_labels():
     for labels in ([R, R], [E, R], [R, E]):
         _, out = relu_layer_graph(Z, _enclosure(Z), labels)
         for x in Z.sample_points(40, 3):
-            assert out.contains_point(np.maximum(x, 0.0), 1e-6)
+            assert out.contains_point(np.maximum(x, 0.0))
 
 
 def test_layer_matches_literal_intersection():

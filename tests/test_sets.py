@@ -15,8 +15,8 @@ from hzreach.sets import FiberLp
 
 from hzreach.projection import emit_projection
 
-from conftest import (box, certified_by_duals, membership_predicate, mixed_hz, random_hz,
-                      unit_directions)
+from conftest import (box, certified_by_duals, member_within, membership_predicate, mixed_hz,
+                      random_hz, unit_directions)
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,7 +80,7 @@ def test_intersect_boxes():
     assert np.allclose(hull.upper, [1, 1], atol=1e-9)
     for corner, expect in [((0, 0), True), ((1, 1), True), ((-0.5, 0.5), False),
                            ((0.5, 0.5), True), ((1.5, 0.5), False)]:
-        assert out.contains_point(corner, 1e-7) == expect
+        assert out.contains_point(corner) == expect
 
 
 def test_intersect_membership_equivalence():
@@ -93,7 +93,7 @@ def test_intersect_membership_equivalence():
                      Z.sample_points(100, 7) + rng.normal(size=(100, 2)) * 0.1])
     disagreements = 0
     for x in pts:
-        if out.contains_point(x, 1e-7) != membership_predicate(Z, Y, R, x):
+        if out.contains_point(x) != membership_predicate(Z, Y, R, x):
             disagreements += 1
     assert disagreements == 0
 
@@ -137,8 +137,8 @@ def test_constrained_product_after_pipeline_ops():
     prod = Z.constrained_product(Y)
     assert prod.dim == 4
     for p in prod.sample_points(50, 10):
-        assert Z.contains_point(p[:2], 1e-7)
-        assert Y.contains_point(p[2:], 1e-7)
+        assert Z.contains_point(p[:2])
+        assert Y.contains_point(p[2:])
         assert np.allclose(p[2:], np.maximum(M @ p[:2] + v, 0.0), atol=1e-7)
 
 
@@ -178,7 +178,22 @@ def test_contains_forward_evaluated_factors():
     for trial in range(10):
         Z = random_hz(rng, dim=2, n_g=4, n_b=2, n_c=2)
         for p in Z.sample_points(10, trial):
-            assert Z.contains_point(p, 1e-9)
+            assert member_within(Z, p, 1e-9)
+
+
+def test_box_membership_at_feas_tol():
+    # the point's row 0.5 * xc + 0.5 = x0 with |xc| <= 1 needs a residual of
+    # x0 - 1 beyond the box: 5e-7 exceeds FEAS_TOL, 5e-8 does not
+    Z = box([0, 0], [1, 1])
+    assert FEAS_TOL == 1e-7
+    assert not Z.contains_point([1 + 5e-7, 0.5])
+    assert Z.contains_point([1 + 5e-8, 0.5])
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]])
+def test_non_finite_point_is_a_value_error(x):
+    with pytest.raises(ValueError):
+        box([0, 0], [1, 1]).contains_point(x)
 
 
 def test_is_empty_cases():
@@ -289,7 +304,7 @@ def test_samples_pass_membership():
     rng = np.random.default_rng(19)
     Z = random_hz(rng, dim=3, n_g=5, n_b=3, n_c=3)
     for p in Z.sample_points(30, 2):
-        assert Z.contains_point(p, 1e-9)
+        assert member_within(Z, p, 1e-9)
 
 
 def test_samples_and_projection_of_set_feasible_only_within_tolerance():
@@ -305,7 +320,7 @@ def test_samples_and_projection_of_set_feasible_only_within_tolerance():
     pts = Z.sample_points(20, 0)
     assert np.all(np.abs(pts[:, 0] - 1.0) <= 1e-7)
     assert np.all(np.abs(pts[:, 1]) <= 1.0)
-    polys = emit_projection(Z, (0, 1), 16)
+    polys = emit_projection(FiberLp(Z), (0, 1), 16)
     assert len(polys) == 1
     assert np.max(polys[0][:, 0]) == pytest.approx(1.0, abs=1e-7)
 
@@ -348,10 +363,40 @@ def test_queries_of_nonempty_sets_succeed_and_samples_lie_in_hull(seed, source, 
     pts = Z.sample_points(20, seed % 1000)
     assert np.max(pts @ d) <= Z.support(d) + 1e-6
     assert np.all(pts >= hull.lower - 1e-6) and np.all(pts <= hull.upper + 1e-6)
-    polys = emit_projection(Z, (0, 1), 16)
+    polys = emit_projection(FiberLp(Z), (0, 1), 16)
     assert polys
     vertices = np.vstack(polys)
     assert np.all(vertices >= hull.lower[:2] - 1e-6) and np.all(vertices <= hull.upper[:2] + 1e-6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(["random", "grazed", "flat"]),
+       n_g=st.integers(2, 5), n_b=st.integers(0, 3), n_c=st.integers(1, 3),
+       side=st.sampled_from([-1.0, 1.0]), delta=st.floats(0.0, FEAS_TOL / 2))
+def test_membership_from_cached_leaves_matches_root_search(seed, source, n_g, n_b, n_c,
+                                                           side, delta):
+    # a set with cached leaves searches a point's intersection among them; a
+    # fresh copy of the same blocks has none and searches from the root: both
+    # must agree on members and on members moved by 0.5 and 3 FEAS_TOL
+    rng = np.random.default_rng(seed)
+    if source == "flat":
+        Z = HybridZonotope.load(DATA / "flat_fibers.json")
+    else:
+        Z = random_hz(rng, dim=2, n_g=n_g, n_b=n_b, n_c=n_c)
+        if source == "grazed":
+            Z = _grazed(Z, seed % n_c, side, delta)
+    if Z.is_empty():
+        return
+    fresh = HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, Z.b)
+    members = Z.sample_points(8, seed % 1000)
+    point = HybridZonotope.from_point(members[0])
+    assert Z.generalized_intersect(point)._leaf_candidates is not None
+    assert fresh.generalized_intersect(point)._leaf_candidates is None
+    moves = rng.choice([-1.0, 1.0], size=(8, 2))
+    for x in np.vstack([members, members + 0.5 * FEAS_TOL * moves,
+                        members + 3 * FEAS_TOL * moves]):
+        assert Z.contains_point(x) == fresh.contains_point(x)
+    assert all(Z.contains_point(x) for x in members)
 
 
 def test_binary_leaves_enumerated_once_per_set(monkeypatch):
@@ -364,7 +409,7 @@ def test_binary_leaves_enumerated_once_per_set(monkeypatch):
     Z = HybridZonotope(Gc=[[0.2, 0.0, 0.0], [0.0, 0.2, 0.0]], Gb=[[1.0], [0.0]],
                        c=[0.0, 0.0], Ac=[[1.0, 0.0, 1.0]], Ab=[[0.0]], b=[0.5])
     Z.sample_points(10, 0)
-    assert len(emit_projection(Z, (0, 1), 8)) == 2
+    assert len(emit_projection(FiberLp(Z), (0, 1), 8)) == 2
     assert not Z.is_empty()
     assert Z.support([1.0, 0.0]) == pytest.approx(1.2, abs=1e-9)
     hull = Z.interval_hull("exact")
@@ -452,7 +497,7 @@ def test_intersection_identity_on_random_triples():
                          rng.normal(size=(20, 2))])
         for x in pts:
             total += 1
-            assert out.contains_point(x, 1e-7) == membership_predicate(Z, Y, R, x)
+            assert out.contains_point(x) == membership_predicate(Z, Y, R, x)
     assert total == 200
 
 
@@ -493,10 +538,10 @@ def test_stalled_primal_resolve_is_redone_by_dual():
     # fiber LP ends with HiGHS model status "Unknown": the session must redo
     # it by dual simplex instead of failing the query
     Z = HybridZonotope.load(DATA / "stalled_primal.json")
-    polys = emit_projection(Z, (0, 1), 3)
-    assert [len(p) for p in polys] == [len(p) for p in emit_projection(Z, (0, 1), 16)]
+    polys = emit_projection(FiberLp(Z), (0, 1), 3)
+    assert [len(p) for p in polys] == [len(p) for p in emit_projection(FiberLp(Z), (0, 1), 16)]
     for p in Z.sample_points(40, 0):
-        assert Z.contains_point(p, 1e-9)
+        assert member_within(Z, p, 1e-9)
 
 
 # -- fiber point batches and their basis certificates ------------------------
@@ -542,7 +587,7 @@ def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, si
         costs[k // 2:] = costs[:k - k // 2] * rng.uniform(0.5, 2.0, size=(k - k // 2, 1))
         for cost, xc in zip(costs, fibers.points(xb, costs)):
             assert cost @ xc == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
-            assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c, 1e-6)
+            assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -600,7 +645,7 @@ def test_sampling_pays_one_lp_per_optimal_basis(monkeypatch):
     pts = Z.sample_points(500, 1)
     assert len(solves) <= 100
     for p in pts[::25]:
-        assert Z.contains_point(p, 1e-6)
+        assert Z.contains_point(p)
 
 
 def test_fiber_feasible_only_within_tolerance_pays_one_exact_lp_per_batch(monkeypatch):

@@ -46,7 +46,7 @@ def test_half_unsafe_forward_with_confirmed_witness(half):
     assert 3 in steps  # states at t=3 span [0.125, 0.25]
     t, x1 = verdict.witnesses[0]
     traj = simulate(half, x1, t)
-    assert unsafe.contains_point(traj.states[t - 1], 1e-6)
+    assert unsafe.contains_point(traj.states[t - 1])
     # the seed interval is analytic: 0.25 * x1 in [0.2, 0.21]
     if t == 3:
         assert 0.8 - 1e-9 <= x1[0] <= 0.84 + 1e-9
@@ -196,7 +196,7 @@ def test_routes_agree_on_a_series_over_the_initial_set(seed, case, n_b):
         assert fwd.status is bwd.status
     for t, x1 in fwd.witnesses:
         assert X1.contains_point(x1)
-        assert unsafe.contains_point(simulate(series.model, x1, t).states[t - 1], 1e-6)
+        assert unsafe.contains_point(simulate(series.model, x1, t).states[t - 1])
 
 
 def test_safe_verdict_backed_by_simulation_smoke(half):
@@ -208,7 +208,7 @@ def test_safe_verdict_backed_by_simulation_smoke(half):
     for _ in range(1000):
         x1 = rng.uniform(0.5, 1.0, size=1)
         traj = simulate(half, x1, 5)
-        assert not any(unsafe.contains_point(s, 1e-9) for s in traj.states)
+        assert not any(unsafe.contains_point(s) for s in traj.states)
 
 
 # -- unsafe sequences ----------------------------------------------------
@@ -224,7 +224,7 @@ def test_unsafe_sequences_half_system(half):
     for x1 in seq.seed_samples:
         traj = simulate(half, x1, 3)
         assert np.allclose(traj.states[:, 0], [x1[0], 0.5 * x1[0], 0.25 * x1[0]])
-        assert unsafe.contains_point(traj.states[2], 1e-6)
+        assert unsafe.contains_point(traj.states[2])
     # forward images match the halving dynamics on the seed interval
     assert seq.sequence_sets[1].support([1.0]) == pytest.approx(0.42, abs=1e-6)
     assert seq.sequence_sets[2].support([1.0]) == pytest.approx(0.21, abs=1e-6)
