@@ -12,9 +12,10 @@ leaves once per set, with every row allowed FEAS_TOL of slack, and
 emptiness, support, exact interval hulls and sampling are answered from that
 cache: support and hull values are the max/min over member points of the
 leaves' fibers (``FiberLp.points``), which hold the rows exactly in a fiber
-that allows it.  Membership of a point is emptiness of the set's
-intersection with the point, at the same FEAS_TOL, searched among the set's
-cached leaves once it has them.
+that allows it.  A set without binaries has one fiber, which support and
+hulls solve without a leaf search.  Membership of a point is emptiness of
+the set's intersection with the point, at the same FEAS_TOL, searched among
+the set's cached leaves once it has them.
 """
 
 from __future__ import annotations
@@ -332,12 +333,14 @@ class HybridZonotope:
             return float(d @ self.c + np.abs(d @ self.Gc).sum() + np.abs(d @ self.Gb).sum())
         return float((self._leaf_maximizers(d[None], "support") @ d).max())
 
-    def interval_hull(self, mode: str = "exact") -> IntervalVector:
+    def interval_hull(self, mode: str = "exact",
+                      fibers: "FiberLp | None" = None) -> IntervalVector:
         """Smallest axis-aligned box containing the set.
 
         ``exact`` is the box of the fiber maximizers of the 2*dim coordinate
-        directions over the cached leaves (one ``FiberLp.maximizers`` batch
-        per leaf); ``generator_relaxed`` ignores the constraints and returns
+        directions over the leaves (``_leaf_maximizers``, solved by
+        ``fibers``, a FiberLp over this set, or a new one);
+        ``generator_relaxed`` ignores the constraints and returns
         c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset and, for a set without
         rows, the exact hull.
         """
@@ -347,20 +350,36 @@ class HybridZonotope:
             rad = np.abs(self.Gc) @ np.ones(self.n_g) + np.abs(self.Gb) @ np.ones(self.n_b)
             return IntervalVector(self.c - rad, self.c + rad)
         eye = np.eye(self.dim)
-        points = self._leaf_maximizers(np.vstack([-eye, eye]), "interval hull")
+        points = self._leaf_maximizers(np.vstack([-eye, eye]), "interval hull", fibers)
         return IntervalVector(points.min(axis=0), points.max(axis=0))
 
-    def _leaf_maximizers(self, dirs: np.ndarray, query: str) -> np.ndarray:
+    def _leaf_maximizers(self, dirs: np.ndarray, query: str,
+                         fibers: "FiberLp | None" = None) -> np.ndarray:
         """The fiber maximizers of every direction in ``dirs`` over every
-        cached leaf, stacked.
+        leaf, stacked, solved by ``fibers`` (a FiberLp over this set, which
+        may share its sessions and leaves with sets of the same rows:
+        ``FiberLp.over``) or by a new FiberLp.
+
+        A binary-free set with continuous factors has one fiber, and its
+        LPs tell whether it is empty: it is solved directly, without a
+        leaf search and its feasibility LP first.  Any other set takes its
+        leaves from ``fibers`` (``FiberLp.leaves``).
 
         Raises:
             EmptySetError: if the set is empty, naming the ``query``.
         """
-        leaves = self.feasible_binary_assignments()
+        if fibers is None:
+            fibers = FiberLp(self)
+        elif fibers.hz is not self:
+            raise ValueError("fibers must be a FiberLp over this set")
+        if self.n_b == 0 and self.n_g:
+            try:
+                return fibers.maximizers(np.zeros(0), dirs)
+            except EmptySetError as err:
+                raise EmptySetError(f"{query} of an empty set") from err
+        leaves = fibers.leaves()
         if not leaves:
             raise EmptySetError(f"{query} of an empty set")
-        fibers = FiberLp(self)
         return np.vstack([fibers.maximizers(xb, dirs) for xb in leaves])
 
     def feasible_binary_assignments(self) -> list[np.ndarray]:
@@ -447,13 +466,44 @@ class FiberLp:
     fiber does.  The session with the FEAS_TOL residual columns is built only
     for a set with a fiber that needs it.  A batch of costs over one fiber
     (``points``) pays one LP per distinct optimal basis, not one per cost.
+
+    The sessions and leaves depend on the set's rows and factor counts
+    alone, not on its generators: ``over`` hands them to a set that differs
+    only in its generator map, such as successive stage sets of
+    ``reach.state_pairs`` whose ReLU stages add no unstable unit.
     """
 
     def __init__(self, hz: HybridZonotope):
         self.hz = hz
+        self._origin = hz  # the set whose leaf search gives the leaves
         self._sessions: dict = {}  # row slack -> (LpSession, MilpProblem)
         self._pinned: dict = {}  # row slack -> (pinned fiber, its column bounds lb, ub)
         self._movable: dict = {}  # row slack -> columns of the pinned fiber that can move
+
+    def over(self, hz: HybridZonotope) -> "FiberLp":
+        """A FiberLp over ``hz`` that shares this one's sessions, pinned
+        fibers and leaves, so its LPs restart from this one's last bases.
+
+        Raises:
+            ValueError: unless ``hz`` has this set's rows: Ac, Ab and b equal
+                in shape, and so in factor counts, and entry for entry.
+        """
+        z = self.hz
+        if not (np.array_equal(hz.Ac, z.Ac) and np.array_equal(hz.Ab, z.Ab)
+                and np.array_equal(hz.b, z.b)):
+            raise ValueError(f"cannot share the fiber LPs of {z!r} with {hz!r}: "
+                             "their factor counts or rows differ")
+        shared = FiberLp(hz)
+        shared._origin = self._origin
+        shared._sessions, shared._pinned, shared._movable = (
+            self._sessions, self._pinned, self._movable)
+        return shared
+
+    def leaves(self) -> list[np.ndarray]:
+        """The set's feasible leaves (``feasible_binary_assignments``), read
+        from the set this FiberLp was first made for, whose leaf MILP is
+        the same."""
+        return self._origin.feasible_binary_assignments()
 
     def sample(self, k: int, seed: int) -> np.ndarray:
         """k member points of the set, deterministic for a fixed seed, shape
@@ -472,7 +522,7 @@ class FiberLp:
             EmptySetError: if the set is empty.
         """
         hz = self.hz
-        assignments = hz.feasible_binary_assignments()
+        assignments = self.leaves()
         if not assignments:
             raise EmptySetError("cannot sample an empty set")
         rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,14 @@ from hzreach import (ComplexityRecord, EmptyDomainError, HybridZonotope,
                      IntervalVector, ReluLabel, brs, exact_plan, frs,
                      predict_complexity, predicted_for_step,
                      propagate_intervals, rank_unstable, simulate, state_pairs)
+import hzreach.reach as reach_mod
 from hzreach.bounds import BoundsTable
+from hzreach.lp import LpSession
+from hzreach.relu import relu_layer_output
+from hzreach.systems import demo_system
 
-from conftest import box, flip_system, grid_points, random_system, unit_directions
+from conftest import (box, flip_system, grid_points, random_system, stages_by_full_hulls,
+                      unit_directions)
 
 
 def _table_with_intervals(pairs):
@@ -322,6 +329,79 @@ def test_hull_mode_exactness_insensitivity():
         a = [by_table.pair_set(t).support(d) for d in dirs]
         b = [by_exact.pair_set(t).support(d) for d in dirs]
         assert np.allclose(a, b, atol=1e-6)
+
+
+def _check_exact_hull_stages(m, X, T, n_b):
+    """LP bounds only for the units the table leaves unstable, in sessions
+    shared across stage sets of equal rows, against a full exact hull per
+    stage in fresh sessions: the same pair complexities, the same sign
+    class for every unit, and the same bounds for the table-unstable ones."""
+    tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
+    plan = rank_unstable(tbl, n_b)
+    stages = []
+
+    def recorded(Z, ivs, labels):
+        stages.append(ivs)
+        return relu_layer_output(Z, ivs, labels)
+
+    with mock.patch.object(reach_mod, "relu_layer_output", recorded):
+        series = state_pairs(m, X, T, plan, tbl, hull_mode="exact")
+    pairs, oracle = stages_by_full_hulls(m, X, T, plan, tbl)
+    assert {t: S.complexity for t, S in series.pairs.items()} == {
+        t: S.complexity for t, S in pairs.items()}
+    assert len(stages) == len(oracle)
+    for ivs, ((t, layer), ref) in zip(stages, oracle):
+        table = tbl.interval_for(t, layer)
+        for i, (iv, r) in enumerate(zip(ivs, ref)):
+            assert (iv.is_stable_positive, iv.is_stable_negative) == (
+                r.is_stable_positive, r.is_stable_negative)
+            if table.lower[i] < 0.0 < table.upper[i]:
+                assert abs(iv.alpha - r.alpha) <= 1e-9 and abs(iv.beta - r.beta) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_exact_hull_stages_match_full_hull_oracle(seed, share):
+    rng = np.random.default_rng(seed)
+    m, X = random_system(rng)
+    T = int(rng.integers(2, 5))
+    n_t = len(propagate_intervals(m, X.interval_hull("generator_relaxed"), T).unstable_index())
+    _check_exact_hull_stages(m, X, T, round(share * n_t))
+
+
+@pytest.mark.parametrize("n_b", [0, 3, 10])
+@pytest.mark.parametrize("lo", [(0.0, 0.0), (0.0, 0.6)])
+def test_exact_hull_stages_of_shared_sessions_match_full_hull_oracle(lo, n_b):
+    # the demo model on the unit square and on its upper band, T=3: its
+    # step-2 stage sets share one session, and with N_b=10 (every unit
+    # exact) their leaves too
+    _check_exact_hull_stages(demo_system(0), box(lo, [1.0, 1.0]), 3, n_b)
+
+
+def test_exact_hull_build_shares_its_lps(monkeypatch):
+    # the tight-relaxed bench inputs: the demo model on the unit square,
+    # T=3, N_b=3.  LPs bound only the 10 of 28 units the table leaves
+    # unstable, and the three step-2 stage sets, whose ReLUs add no rows,
+    # share one session: 2 sessions and 16 LPs, where a full exact hull per
+    # stage set, each in sessions of its own, took 8 and 35
+    counts = {"sessions": 0, "solves": 0}
+    init, solve = LpSession.__init__, LpSession.solve
+
+    def counted_init(self, *args, **kwargs):
+        counts["sessions"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_solve(self, *args, **kwargs):
+        counts["solves"] += 1
+        return solve(self, *args, **kwargs)
+
+    m, X = demo_system(0), box([0.0, 0.0], [1.0, 1.0])
+    tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 3)
+    plan = rank_unstable(tbl, 3)
+    monkeypatch.setattr(LpSession, "__init__", counted_init)
+    monkeypatch.setattr(LpSession, "solve", counted_solve)
+    state_pairs(m, X, 3, plan, tbl, hull_mode="exact")
+    assert counts["sessions"] <= 2 and counts["solves"] <= 16
 
 
 def test_series_json_export(half):

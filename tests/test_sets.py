@@ -675,3 +675,87 @@ def test_fiber_points_with_an_all_zero_row(monkeypatch):
     pts = FiberLp(Z).points(np.zeros(0), costs)
     assert len(solves) == 8
     assert np.max(np.abs(pts - (-np.sign(costs) @ G.T + c))) <= 1e-12
+
+
+def _regenerated(rng, Z: HybridZonotope, dim: int) -> HybridZonotope:
+    """A set with Z's rows and factors under a new random generator map."""
+    return HybridZonotope(rng.normal(size=(dim, Z.n_g)), rng.normal(size=(dim, Z.n_b)),
+                          rng.normal(size=dim), Z.Ac, Z.Ab, Z.b)
+
+
+def test_shared_fiber_lp_needs_the_same_rows_and_factors():
+    rng = np.random.default_rng(3)
+    Z = random_hz(rng, dim=2, n_g=4, n_b=2, n_c=2)
+    fibers = FiberLp(Z)
+    assert fibers.over(_regenerated(rng, Z, 3)).hz.dim == 3
+    b, Ac = Z.b.copy(), Z.Ac.copy()
+    b[0] += 1e-12
+    Ac[1, 2] = -Ac[1, 2]
+    others = [HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, b),
+              HybridZonotope(Z.Gc, Z.Gb, Z.c, Ac, Z.Ab, Z.b),
+              random_hz(rng, dim=2, n_g=5, n_b=2, n_c=2),
+              random_hz(rng, dim=2, n_g=4, n_b=1, n_c=2),
+              random_hz(rng, dim=2, n_g=4, n_b=2, n_c=3)]
+    for other in others:
+        with pytest.raises(ValueError, match="rows differ"):
+            fibers.over(other)
+    # without rows, only the factor counts tell the sets apart
+    with pytest.raises(ValueError, match="rows differ"):
+        FiberLp(HybridZonotope(Gc=[[1.0, 2.0]], c=[0.0])).over(
+            HybridZonotope(Gc=[[1.0, 2.0, 3.0]], c=[0.0]))
+
+
+@pytest.mark.parametrize("source,seed", [("random", 0), ("random", 1), ("random", 2),
+                                         ("binary-free", 3), ("flat", 4), ("mixed", 5),
+                                         ("mixed", 6)])
+def test_shared_fiber_lp_returns_the_fresh_maximizers(source, seed):
+    # a FiberLp handed on through sets that differ only in their generator
+    # map, its sessions warm from the last set's costs, gives each set the
+    # maximizers of a fresh FiberLp.  The flat fibers hold their rows
+    # exactly; one leaf of each mixed set takes the FEAS_TOL fallback, so
+    # its slack session is shared too
+    rng = np.random.default_rng(seed)
+    if source == "flat":
+        Z = HybridZonotope.load(DATA / "flat_fibers.json")
+    elif source == "mixed":
+        Z = mixed_hz(rng, 2, 5, rng.choice([-1.0, 1.0]), FEAS_TOL / 2)
+    else:
+        Z = random_hz(rng, dim=2, n_g=5, n_b=0 if source == "binary-free" else 2, n_c=3)
+    leaves = Z.feasible_binary_assignments()
+    fibers = FiberLp(Z)
+    for xb in leaves:
+        fibers.maximizers(xb, unit_directions(8, 2, seed))
+    for k, Y in enumerate([Z.affine_map(rng.normal(size=(3, 2)), rng.normal(size=3)),
+                           _regenerated(rng, Z, 3), _regenerated(rng, Z, 2)]):
+        fibers = fibers.over(Y)
+        assert [xb.tolist() for xb in fibers.leaves()] == [
+            xb.tolist() for xb in Y.feasible_binary_assignments()]
+        dirs = unit_directions(12, Y.dim, 10 * seed + k)
+        for xb in leaves:
+            fresh = FiberLp(Y).maximizers(xb, dirs)
+            assert np.max(np.abs(fibers.maximizers(xb, dirs) - fresh)) <= 1e-9
+        fresh = Y._leaf_maximizers(dirs, "test")
+        assert np.max(np.abs(Y._leaf_maximizers(dirs, "test", fibers) - fresh)) <= 1e-9
+    assert (FEAS_TOL in fibers._sessions) == (source == "mixed")
+
+
+def test_binary_free_set_solves_its_fiber_without_a_leaf_search(monkeypatch):
+    # support and the exact hull of a set without binaries solve its one
+    # fiber directly: one session each, and no leaf search runs first
+    rng = np.random.default_rng(4)
+    Z = random_hz(rng, dim=3, n_g=5, n_b=0, n_c=2)
+    searched = HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, Z.b)
+    assert len(searched.feasible_binary_assignments()) == 1
+    d = rng.normal(size=3)
+    sessions = []
+    init = LpSession.__init__
+    monkeypatch.setattr(LpSession, "__init__",
+                        lambda self, *a, **kw: sessions.append(1) or init(self, *a, **kw))
+    assert Z.support(d) == searched.support(d)
+    hull, ref = Z.interval_hull("exact"), searched.interval_hull("exact")
+    assert np.array_equal(hull.lower, ref.lower) and np.array_equal(hull.upper, ref.upper)
+    assert len(sessions) == 4 and Z._leaves is None
+    empty = HybridZonotope(Gc=[[1.0, 0.5]], c=[0.0], Ac=[[1.0, 1.0]], b=[2.5])
+    with pytest.raises(EmptySetError, match="support of an empty set"):
+        empty.support([1.0])
+    assert empty._leaves is None
