@@ -23,7 +23,7 @@ from .errors import HzReachError
 from .model import load_model
 from .projection import emit_projection, write_points_csv, write_svg
 from .reach import brs, frs, predicted_for_step, rank_unstable, state_pairs
-from .sets import FiberLp, HybridZonotope
+from .sets import HybridZonotope
 from .verify import Safety, verify_backward, verify_forward
 
 _EXIT_BY_STATUS = {Safety.SAFE: 0, Safety.UNSAFE: 2, Safety.UNKNOWN: 3}
@@ -67,14 +67,14 @@ def _emit_set(args, stem: str, hz: HybridZonotope, seed: int):
     hz.save(args.out / f"{stem}.json")
     if hz.is_empty():
         return [], None
-    fibers = FiberLp(hz)  # one set of LP sessions for the draws and the polygons
-    samples = fibers.sample(_SAMPLES_PER_SET, seed)
+    scope: dict = {}  # one set of LP sessions for the draws and the polygons
+    samples = hz.sample_points(_SAMPLES_PER_SET, seed, scope)
     dims = args.dims if hz.dim >= 2 else (0,)
     points = samples[:, list(dims)]
     write_points_csv(args.out / f"{stem}_points.csv", points, dims)
     if hz.dim < 2:
         return [], None
-    polygons = emit_projection(fibers, args.dims, args.dirs)
+    polygons = emit_projection(hz, args.dims, args.dirs, scope)
     write_svg(args.out / f"{stem}.svg", [(stem, polygons, points)])
     return polygons, points
 

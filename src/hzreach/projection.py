@@ -12,16 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySetError
-from .sets import FEAS_TOL, FiberLp
+from .sets import FEAS_TOL, FiberLp, HybridZonotope
 
 
-def support_polygon(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
-                    k_dirs: int) -> np.ndarray:
-    """Vertices, counter-clockwise, of one binary fiber's projection onto
-    coordinates ``dims``.
+def support_polygon(hz: HybridZonotope, fibers: FiberLp, xb: np.ndarray,
+                    dims: tuple[int, int], k_dirs: int) -> np.ndarray:
+    """Vertices, counter-clockwise, of the projection of the set's fiber
+    ``xb`` onto coordinates ``dims``.
 
     Each 2-D direction is embedded at ``dims`` and maximized over the fiber
-    itself (``_maximizers``).  The start is the fiber's support maximizers in
+    itself (``_maximizers``, its LPs in ``fibers``, the FiberLp of the
+    set's rows).  The start is the fiber's support maximizers in
     k_dirs >= 3 equally spaced directions, which are fiber points in
     counter-clockwise order; a point within tol = FEAS_TOL times the fiber's
     extent of the one before is merged into it.  Each edge is then checked
@@ -37,7 +38,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
     """
     angles = 2.0 * np.pi * np.arange(k_dirs) / k_dirs
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    starts = _maximizers(fibers, xb, dims, dirs)
+    starts = _maximizers(hz, fibers, xb, dims, dirs)
     tol = FEAS_TOL * float(np.ptp(starts, axis=0).max())
     poly = []
     for p in starts:
@@ -49,7 +50,7 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
     while len(poly) > 1 and i < len(poly):
         a, b = poly[i], poly[(i + 1) % len(poly)]
         n = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
-        p = _maximizers(fibers, xb, dims, n[None])[0]
+        p = _maximizers(hz, fibers, xb, dims, n[None])[0]
         if n @ (p - a) > tol:
             poly.insert(i + 1, p)
         else:
@@ -64,13 +65,13 @@ def support_polygon(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
     return np.array(poly)
 
 
-def _maximizers(fibers: FiberLp, xb: np.ndarray, dims: tuple[int, int],
-                dirs: np.ndarray) -> np.ndarray:
+def _maximizers(hz: HybridZonotope, fibers: FiberLp, xb: np.ndarray,
+                dims: tuple[int, int], dirs: np.ndarray) -> np.ndarray:
     """Coordinates ``dims`` of the fiber points maximizing the 2-D ``dirs``
     embedded at ``dims``."""
-    embedded = np.zeros((len(dirs), fibers.hz.dim))
+    embedded = np.zeros((len(dirs), hz.dim))
     embedded[:, list(dims)] = dirs
-    return fibers.maximizers(xb, embedded)[:, list(dims)]
+    return hz._points(xb, -(embedded @ hz.Gc), fibers)[:, list(dims)]
 
 
 def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -80,29 +81,34 @@ def _distance_to_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.hypot(*(p - a - s * d)))
 
 
-def emit_projection(fibers: FiberLp, dims: tuple[int, int],
-                    k_dirs: int) -> list[np.ndarray]:
-    """One convex polygon per feasible binary assignment of the set
-    ``fibers.hz``.
+def emit_projection(hz: HybridZonotope, dims: tuple[int, int], k_dirs: int,
+                    scope: dict | None = None) -> list[np.ndarray]:
+    """One convex polygon per feasible binary assignment of the set ``hz``.
 
     Each polygon is its fiber's projection onto coordinates ``dims``, exact
     to FEAS_TOL of the fiber's extent (see ``support_polygon``); their union
     is the set's projection.  ``k_dirs`` directions start the refinement.
-    The LPs run in the sessions of ``fibers``, which the set's draws may
-    share (``FiberLp.sample``).
+    All polygons share one FiberLp, the one of the set's rows in ``scope``
+    when given, so that the set's draws can share it too
+    (``HybridZonotope.sample_points``).
 
     Raises:
+        ValueError: unless ``dims`` names two distinct coordinates in
+            [0, dim), or if ``k_dirs`` < 3.
         EmptySetError: if the set is empty.
     """
     i, j = dims
     if i == j:
         raise ValueError("projection needs two distinct coordinates")
+    if not (0 <= i < hz.dim and 0 <= j < hz.dim):
+        raise ValueError(f"projection coordinates must lie in [0, {hz.dim}), got {i},{j}")
     if k_dirs < 3:
         raise ValueError("projection needs at least 3 directions")
-    assignments = fibers.hz.feasible_binary_assignments()
+    assignments = hz.feasible_binary_assignments()
     if not assignments:
         raise EmptySetError("cannot project an empty set")
-    return [support_polygon(fibers, xb, (i, j), k_dirs) for xb in assignments]
+    fibers = hz._fibers(scope)
+    return [support_polygon(hz, fibers, xb, (i, j), k_dirs) for xb in assignments]
 
 
 def write_points_csv(path, points: np.ndarray, dims) -> None:

@@ -22,7 +22,7 @@ from .bounds import BoundsTable, count_unstable
 from .errors import EmptyDomainError
 from .model import ClosedLoopRnn
 from .relu import NeuronInterval, ReluLabel, relu_layer_output
-from .sets import ComplexityRecord, FiberLp, HybridZonotope
+from .sets import ComplexityRecord, HybridZonotope
 
 
 @dataclass(frozen=True)
@@ -132,16 +132,14 @@ class ReachSeries:
 
 
 def _stage(Z: HybridZonotope, t: int, layer: int, plan_labels: dict,
-           table: BoundsTable, hull_mode: str, fibers: FiberLp | None):
-    """One ReLU stage of the pipeline: its output set, and the FiberLp that
-    the next stage set may share, since it has the same rows (None when
-    this stage added rows, or when no stage on these rows made one).
+           table: BoundsTable, hull_mode: str, scope: dict) -> HybridZonotope:
+    """One ReLU stage of the pipeline: its output set.
 
     The units take the plan's labels.  In ``exact`` mode only the units whose
     table interval is unstable get LP bounds: the exact hull of their
-    coordinates (``interval_hull``, their min and max), solved by ``fibers``
-    when the previous stage set had the same rows (``FiberLp.over``), else by
-    a new FiberLp.  Every other unit keeps its table interval:
+    coordinates (``interval_hull``, their min and max), its LPs warm in
+    ``scope``, where every stage set on the same rows finds the same
+    FiberLp.  Every other unit keeps its table interval:
     ``relu_layer_output`` reads a stable unit only for its sign class, and
     the exact hull lies inside the table's sound enclosure, so it could not
     change that class.
@@ -151,17 +149,14 @@ def _stage(Z: HybridZonotope, t: int, layer: int, plan_labels: dict,
     if hull_mode == "exact":
         unstable = np.flatnonzero((lower < 0.0) & (0.0 < upper))
         if unstable.size:
-            Zu = Z.project(unstable)
-            fibers = FiberLp(Zu) if fibers is None else fibers.over(Zu)
-            hull = Zu.interval_hull("exact", fibers)
+            hull = Z.project(unstable).interval_hull("exact", scope)
             lower, upper = lower.copy(), upper.copy()
             lower[unstable], upper[unstable] = hull.lower, hull.upper
     elif hull_mode != "table":
         raise ValueError(f"unknown hull mode: {hull_mode!r}")
     ivs = [NeuronInterval(lo, hi) for lo, hi in zip(lower, upper)]
     labels = [plan_labels.get((t, layer, i), ReluLabel.EXACT) for i in range(iv.dim)]
-    out = relu_layer_output(Z, ivs, labels)
-    return out, (fibers if out.n_c == Z.n_c else None)
+    return relu_layer_output(Z, ivs, labels)
 
 
 def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
@@ -177,9 +172,9 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
     unstable, from the stage set's exact interval hull ("exact", ``_stage``);
     ``table`` must then enclose every stage set, as ``propagate_intervals``
     over a hull of X does.  A ReLU stage that adds no unstable unit leaves
-    the rows and factors as they were, so the next stage set differs only in
-    its generator map: it solves its LPs in the same FiberLp sessions, warm,
-    as long as that holds.  Those sessions live only inside this call.
+    the next stage set on the same rows, which then shares their leaves and,
+    through one scope for the whole call, their FiberLp: its LPs start warm.
+    Those sessions live only inside this call.
     Every constrained product's prefix condition is asserted, not assumed.
 
     Raises:
@@ -196,7 +191,7 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
     pairs: dict = {}
     prev_hidden: list[HybridZonotope] = []
     state_set = X
-    fibers = None  # shared by successive stage sets while their rows stay the same
+    scope: dict = {}  # the FiberLp of each row system, for the stage hulls
     for t in range(1, T):
         new_hidden = []
         inp = state_set
@@ -206,11 +201,11 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
             else:
                 pair = prev_hidden[layer_no - 1].constrained_product(inp)
                 Z = pair.affine_map(np.hstack([layer.Wh, layer.Wx]), layer.vh)
-            out, fibers = _stage(Z, t, layer_no, labels, table, hull_mode, fibers)
+            out = _stage(Z, t, layer_no, labels, table, hull_mode, scope)
             new_hidden.append(out)
             inp = out
         Zy = inp.affine_map(m.Wy, m.vy)
-        state_set, fibers = _stage(Zy, t, table.output_layer, labels, table, hull_mode, fibers)
+        state_set = _stage(Zy, t, table.output_layer, labels, table, hull_mode, scope)
         pairs[t + 1] = X.constrained_product(state_set)
         prev_hidden = new_hidden
     return ReachSeries(m, X, pairs, plan, table, hull_mode)

@@ -145,7 +145,8 @@ def relu_layer_output(Z: HybridZonotope, ivs: list[NeuronInterval],
     row equates the unit's input row with Z's coordinate expression.  Gate
     rows come first, two per unit in unit order, then the tie rows.  The
     added complexity is thus exactly (4, 1, 3) per exact and (5, 0, 3) per
-    relaxed unstable unit.
+    relaxed unstable unit.  A layer without unstable units adds no rows, and
+    its output is on Z's rows (``HybridZonotope._on_rows``).
     """
     m = Z.dim
     if len(ivs) != m or len(labels) != m:
@@ -175,4 +176,6 @@ def relu_layer_output(Z: HybridZonotope, ivs: list[NeuronInterval],
         Ac[gates, xc], Ab[gates, xb], rhs[gates] = Au[:2], Abu[:2], ru[:2]
         Ac[tie, :ng], Ab[tie, :nb] = -Z.Gc[i], -Z.Gb[i]
         Ac[tie, xc], Ab[tie, xb], rhs[tie] = Gu[0], Gbu[0], Z.c[i] - cu[0]
+    if not units:
+        return HybridZonotope._on_rows(Gc, Gb, c, Z)
     return HybridZonotope(Gc, Gb, c, Ac, Ab, rhs)

@@ -7,15 +7,18 @@ A hybrid zonotope <Gc, Gb, c, Ac, Ab, b> represents the set
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.  The set is the union of its binary fibers, one per
-feasible {-1,+1} assignment of xb (a leaf).  ``hzreach.lp`` enumerates the
-leaves once per set, with every row allowed FEAS_TOL of slack, and
-emptiness, support, exact interval hulls and sampling are answered from that
-cache: support and hull values are the max/min over member points of the
-leaves' fibers (``FiberLp.points``), which hold the rows exactly in a fiber
-that allows it.  A set without binaries has one fiber, which support and
-hulls solve without a leaf search.  Membership of a point is emptiness of
-the set's intersection with the point, at the same FEAS_TOL, searched among
-the set's cached leaves once it has them.
+feasible {-1,+1} assignment of xb (a leaf).  The leaves depend on the rows
+(Ac, Ab, b) alone: ``hzreach.lp`` enumerates them once per row system, with
+every row allowed FEAS_TOL of slack, into a record that every set built on
+those rows unchanged shares (``affine_map``, ``project``,
+``constrained_product``, a ReLU layer without unstable units).  Emptiness,
+support, exact interval hulls and sampling are answered from that cache:
+support and hull values are the max/min over member points of the leaves'
+fibers, whose factors ``FiberLp`` solves per row system, holding the rows
+exactly in a fiber that allows it.  A set without binaries has one fiber,
+which support and hulls solve without a leaf search.  Membership of a point
+is emptiness of the set's intersection with the point, at the same
+FEAS_TOL, searched among the set's cached leaves once it has them.
 """
 
 from __future__ import annotations
@@ -79,6 +82,39 @@ def _coupled(y_rows: np.ndarray, z_rows: np.ndarray, y_gens: np.ndarray,
     return M
 
 
+class _Rows:
+    """One constraint system Ac @ xc + Ab @ xb = b and what is known of it:
+    its cached leaves, and the candidate leaves ``generalized_intersect``
+    recorded (cached leaves of another set that include all of its leaves).
+    Every set built on these rows unchanged shares this record
+    (``HybridZonotope._on_rows``)."""
+
+    __slots__ = ("Ac", "Ab", "b", "leaves", "candidates")
+
+    def __init__(self, Ac: np.ndarray, Ab: np.ndarray, b: np.ndarray):
+        self.Ac, self.Ab, self.b = Ac, Ab, b
+        self.leaves = self.candidates = None
+
+    def milp(self, slack: float = 0.0) -> MilpProblem:
+        """The factor-space feasibility MILP (zero cost) of these rows.
+
+        Variables are [xc, xb] plus, when ``slack`` > 0, one bounded residual
+        variable per equality row so that rows only need to hold within the
+        requested infinity-norm slack.
+        """
+        (n_c, n_g), n_b = self.Ac.shape, self.Ab.shape[1]
+        A = np.hstack([self.Ac, self.Ab])
+        nv = n_g + n_b
+        lb = -np.ones(nv)
+        ub = np.ones(nv)
+        if slack > 0.0 and n_c:
+            A = np.hstack([A, np.eye(n_c)])
+            lb = np.concatenate([lb, -slack * np.ones(n_c)])
+            ub = np.concatenate([ub, slack * np.ones(n_c)])
+        binaries = tuple(range(n_g, nv))
+        return MilpProblem(LpProblem(np.zeros(lb.size), A, self.b, lb, ub), binaries)
+
+
 class HybridZonotope:
     """Immutable hybrid zonotope in R^n.
 
@@ -90,7 +126,7 @@ class HybridZonotope:
             None for all three means an unconstrained set.
     """
 
-    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_leaves", "_leaf_candidates")
+    __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_rows")
 
     def __init__(self, Gc=None, Gb=None, c=None, Ac=None, Ab=None, b=None):
         c = np.array(c, dtype=float).reshape(-1)
@@ -112,9 +148,7 @@ class HybridZonotope:
         object.__setattr__(self, "Ac", Ac)
         object.__setattr__(self, "Ab", Ab)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_leaves", None)
-        # cached leaves of another set that include all of this set's leaves
-        object.__setattr__(self, "_leaf_candidates", None)
+        object.__setattr__(self, "_rows", _Rows(Ac, Ab, b))
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridZonotope is immutable")
@@ -161,22 +195,37 @@ class HybridZonotope:
         x = np.asarray(x, dtype=float).reshape(-1)
         return cls(c=x)
 
+    @classmethod
+    def _on_rows(cls, Gc, Gb, c, rows: "HybridZonotope") -> "HybridZonotope":
+        """The set of generator map (Gc, Gb, c) on the rows of ``rows``,
+        sharing their arrays and their record; Gc and Gb must have the rows'
+        factor counts (else ValueError)."""
+        out = cls(Gc, Gb, c)
+        if (out.n_g, out.n_b) != (rows.n_g, rows.n_b):
+            raise ValueError(f"{out!r} cannot take the rows of {rows!r}: "
+                             "their factor counts differ")
+        for name in ("Ac", "Ab", "b", "_rows"):
+            object.__setattr__(out, name, getattr(rows, name))
+        return out
+
     # -- affine operations ---------------------------------------------
 
     def affine_map(self, R, t=None) -> "HybridZonotope":
-        """The set {R @ x + t : x in self}; the constraint block is unchanged."""
+        """The set {R @ x + t : x in self}, on this set's rows (``_on_rows``)."""
         R = np.asarray(R, dtype=float)
         if R.ndim != 2 or R.shape[1] != self.dim:
             raise ValueError(f"map matrix must have {self.dim} columns")
         t = np.zeros(R.shape[0]) if t is None else np.asarray(t, dtype=float).reshape(-1)
         if t.size != R.shape[0]:
             raise ValueError("offset length must match the map's row count")
-        return HybridZonotope(R @ self.Gc, R @ self.Gb, R @ self.c + t,
-                              self.Ac, self.Ab, self.b)
+        return HybridZonotope._on_rows(R @ self.Gc, R @ self.Gb, R @ self.c + t, self)
 
     def project(self, dims) -> "HybridZonotope":
-        """Coordinate projection onto the given dimension indices."""
+        """Coordinate projection onto the given dimension indices, each in
+        [0, dim) (else ValueError)."""
         dims = list(dims)
+        if not all(0 <= d < self.dim for d in dims):
+            raise ValueError(f"projection coordinates must lie in [0, {self.dim}), got {dims}")
         R = np.zeros((len(dims), self.dim))
         for row, d in enumerate(dims):
             R[row, d] = 1.0
@@ -195,7 +244,7 @@ class HybridZonotope:
         When ``other`` has no binaries, the result's binaries are this set's,
         in order, and its rows include this set's, so each of its leaves is
         one of this set's; when those are cached, the result's leaf
-        enumeration tests only them.
+        enumeration tests only them (its record's candidates).
         """
         if R is None:
             R = np.eye(self.dim)
@@ -212,7 +261,7 @@ class HybridZonotope:
         b = np.concatenate([y.b, z.b, y.c - R @ z.c])
         out = HybridZonotope(Gc, Gb, z.c, Ac, Ab, b)
         if y.n_b == 0:
-            object.__setattr__(out, "_leaf_candidates", z._leaves)
+            out._rows.candidates = z._rows.leaves
         return out
 
     def cartesian_product(self, other: "HybridZonotope") -> "HybridZonotope":
@@ -244,7 +293,8 @@ class HybridZonotope:
         other's (matrix prefix equality, tolerance zero): the other set's
         first n_g/n_b factor columns are then identified with this set's
         factors, so paired coordinates are generated by the same factors.
-        The result is a subset of the plain Cartesian product.
+        The result is a subset of the plain Cartesian product, on the other
+        set's rows (``_on_rows``).
 
         Raises:
             PrefixMismatchError: if the partition condition fails.
@@ -268,36 +318,9 @@ class HybridZonotope:
             np.hstack([z.Gb, np.zeros((z.dim, y.n_b - z.n_b))]),
             y.Gb,
         ])
-        return HybridZonotope(Gc, Gb, np.concatenate([z.c, y.c]), y.Ac, y.Ab, y.b)
+        return HybridZonotope._on_rows(Gc, Gb, np.concatenate([z.c, y.c]), y)
 
     # -- optimization-backed queries -----------------------------------
-
-    def _milp(self, slack: float = 0.0) -> MilpProblem:
-        """Assemble the factor-space feasibility MILP (zero cost) for this set.
-
-        Variables are [xc, xb] plus, when ``slack`` > 0, one bounded residual
-        variable per equality row so that rows only need to hold within the
-        requested infinity-norm slack.
-        """
-        A = np.hstack([self.Ac, self.Ab])
-        nv = self.n_g + self.n_b
-        lb = -np.ones(nv)
-        ub = np.ones(nv)
-        if slack > 0.0 and self.n_c:
-            A = np.hstack([A, np.eye(self.n_c)])
-            lb = np.concatenate([lb, -slack * np.ones(self.n_c)])
-            ub = np.concatenate([ub, slack * np.ones(self.n_c)])
-        binaries = tuple(range(self.n_g, nv))
-        return MilpProblem(LpProblem(np.zeros(lb.size), A, self.b, lb, ub), binaries)
-
-    def _enumerate(self, p: MilpProblem, candidates: tuple | None = None) -> list[np.ndarray]:
-        """``enumerate_binary_leaves``, naming this set in its errors."""
-        try:
-            return enumerate_binary_leaves(p, candidates)
-        except LeafLimitError as err:
-            raise LeafLimitError(f"{self!r}: {err}") from err
-        except RuntimeError as err:
-            raise RuntimeError(f"{self!r}: {err}") from err
 
     def is_empty(self) -> bool:
         """True iff no feasible factor assignment exists (within FEAS_TOL slack)."""
@@ -320,8 +343,8 @@ class HybridZonotope:
 
     def support(self, d) -> float:
         """max over the set of d @ x: the largest over the cached leaves of
-        d @ x at the fiber's maximizer (``FiberLp.maximizers``).  A set
-        without rows has the closed form d @ c + |d @ Gc|_1 + |d @ Gb|_1.
+        d @ x at the fiber's maximizer (``_leaf_maximizers``).  A set without
+        rows has the closed form d @ c + |d @ Gc|_1 + |d @ Gb|_1.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -333,16 +356,14 @@ class HybridZonotope:
             return float(d @ self.c + np.abs(d @ self.Gc).sum() + np.abs(d @ self.Gb).sum())
         return float((self._leaf_maximizers(d[None], "support") @ d).max())
 
-    def interval_hull(self, mode: str = "exact",
-                      fibers: "FiberLp | None" = None) -> IntervalVector:
+    def interval_hull(self, mode: str = "exact", scope: dict | None = None) -> IntervalVector:
         """Smallest axis-aligned box containing the set.
 
         ``exact`` is the box of the fiber maximizers of the 2*dim coordinate
-        directions over the leaves (``_leaf_maximizers``, solved by
-        ``fibers``, a FiberLp over this set, or a new one);
-        ``generator_relaxed`` ignores the constraints and returns
-        c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset and, for a set without
-        rows, the exact hull.
+        directions over the leaves (``_leaf_maximizers``, warm in ``scope``
+        when given); ``generator_relaxed`` ignores the constraints and
+        returns c +/- (|Gc| @ 1 + |Gb| @ 1), a sound superset and, for a set
+        without rows, the exact hull.
         """
         if mode not in ("exact", "generator_relaxed"):
             raise ValueError(f"unknown hull mode: {mode!r}")
@@ -350,64 +371,102 @@ class HybridZonotope:
             rad = np.abs(self.Gc) @ np.ones(self.n_g) + np.abs(self.Gb) @ np.ones(self.n_b)
             return IntervalVector(self.c - rad, self.c + rad)
         eye = np.eye(self.dim)
-        points = self._leaf_maximizers(np.vstack([-eye, eye]), "interval hull", fibers)
+        points = self._leaf_maximizers(np.vstack([-eye, eye]), "interval hull", scope)
         return IntervalVector(points.min(axis=0), points.max(axis=0))
 
+    def _fibers(self, scope: dict | None) -> "FiberLp":
+        """The FiberLp of this set's rows in ``scope``, a dict from row
+        record to FiberLp; a new one, its LPs cold, without a scope."""
+        return FiberLp(self) if scope is None else scope.setdefault(self._rows, FiberLp(self))
+
+    def _points(self, xb: np.ndarray, costs: np.ndarray, fibers: "FiberLp") -> np.ndarray:
+        """Member points of fiber ``xb``, row i at the factors minimizing
+        costs[i] @ xc (``FiberLp.minimizers``)."""
+        return fibers.minimizers(xb, costs) @ self.Gc.T + self.Gb @ xb + self.c
+
     def _leaf_maximizers(self, dirs: np.ndarray, query: str,
-                         fibers: "FiberLp | None" = None) -> np.ndarray:
+                         scope: dict | None = None) -> np.ndarray:
         """The fiber maximizers of every direction in ``dirs`` over every
-        leaf, stacked, solved by ``fibers`` (a FiberLp over this set, which
-        may share its sessions and leaves with sets of the same rows:
-        ``FiberLp.over``) or by a new FiberLp.
+        leaf, stacked, solved by the FiberLp of this set's rows in ``scope``
+        (``_fibers``).
 
         A binary-free set with continuous factors has one fiber, and its
         LPs tell whether it is empty: it is solved directly, without a
-        leaf search and its feasibility LP first.  Any other set takes its
-        leaves from ``fibers`` (``FiberLp.leaves``).
+        leaf search and its feasibility LP first.
 
         Raises:
             EmptySetError: if the set is empty, naming the ``query``.
         """
-        if fibers is None:
-            fibers = FiberLp(self)
-        elif fibers.hz is not self:
-            raise ValueError("fibers must be a FiberLp over this set")
+        fibers, costs = self._fibers(scope), -(dirs @ self.Gc)
         if self.n_b == 0 and self.n_g:
             try:
-                return fibers.maximizers(np.zeros(0), dirs)
+                return self._points(np.zeros(0), costs, fibers)
             except EmptySetError as err:
                 raise EmptySetError(f"{query} of an empty set") from err
-        leaves = fibers.leaves()
+        leaves = self.feasible_binary_assignments()
         if not leaves:
             raise EmptySetError(f"{query} of an empty set")
-        return np.vstack([fibers.maximizers(xb, dirs) for xb in leaves])
+        return np.vstack([self._points(xb, costs, fibers) for xb in leaves])
 
     def feasible_binary_assignments(self) -> list[np.ndarray]:
         """All {-1,+1} assignments of the binary factors admitting feasible xc.
 
-        The enumeration runs once per set; later calls return the cached,
-        read-only assignments.  A set from ``generalized_intersect`` with a
-        binary-free operand tests only the cached leaves of the other one.
+        The enumeration runs once per row system; later calls, by this set
+        or any other on the same rows, return the cached, read-only
+        assignments.  A set from ``generalized_intersect`` with a binary-free
+        operand tests only the cached leaves of the other one.
 
         Raises:
             LeafLimitError: if the set has more than ``hzreach.lp.LEAF_LIMIT``
                 leaves.
         """
-        if self._leaves is None:
-            leaves = self._enumerate(self._milp(slack=FEAS_TOL), self._leaf_candidates)
+        rows = self._rows
+        if rows.leaves is None:
+            try:  # errors name the set
+                leaves = enumerate_binary_leaves(rows.milp(slack=FEAS_TOL), rows.candidates)
+            except LeafLimitError as err:
+                raise LeafLimitError(f"{self!r}: {err}") from err
+            except RuntimeError as err:
+                raise RuntimeError(f"{self!r}: {err}") from err
             for xb in leaves:
                 xb.setflags(write=False)
-            object.__setattr__(self, "_leaves", tuple(leaves))
-        return list(self._leaves)
+            rows.leaves = tuple(leaves)
+        return list(rows.leaves)
 
-    def sample_points(self, k: int, seed: int) -> np.ndarray:
-        """k member points, deterministic for a fixed seed, shape (k, dim)
-        (``FiberLp.sample``).
+    def sample_points(self, k: int, seed: int, scope: dict | None = None) -> np.ndarray:
+        """k member points, deterministic for a fixed seed, shape (k, dim).
+
+        Each draw picks one of the cached leaves at random, and the
+        continuous factors solve that fiber's LP with a random objective, so
+        samples land on vertices of the chosen fiber.  All draws are made
+        first, and each leaf's draws are solved as one batch in draw order
+        (``FiberLp.minimizers``, warm in ``scope`` when given); row j is
+        still the j-th draw's point.  A set with one leaf draws all costs in
+        one call, which yields the same stream as the per-draw loop, since
+        choosing among one leaf consumes no random bits.
 
         Raises:
             EmptySetError: if the set is empty.
         """
-        return FiberLp(self).sample(k, seed)
+        leaves = self.feasible_binary_assignments()
+        if not leaves:
+            raise EmptySetError("cannot sample an empty set")
+        rng = np.random.default_rng(seed)
+        if len(leaves) == 1:  # rng.integers(1) draws nothing from the stream
+            leaf = np.zeros(k, dtype=int)
+            costs = rng.standard_normal((k, self.n_g))
+        else:
+            leaf = np.empty(k, dtype=int)
+            costs = np.empty((k, self.n_g))
+            for j in range(k):
+                leaf[j] = rng.integers(len(leaves))
+                costs[j] = rng.standard_normal(self.n_g)
+        fibers = self._fibers(scope)
+        out = np.empty((k, self.dim))
+        for i, xb in enumerate(leaves):
+            rows = np.flatnonzero(leaf == i)
+            out[rows] = self._points(xb, costs[rows], fibers)
+        return out
 
     # -- serialization -------------------------------------------------
 
@@ -459,91 +518,27 @@ class FiberLp:
     """Cost minimization over the factors of one binary fiber at a time.
 
     The fiber of a binary assignment xb is the constrained zonotope left when
-    the binaries are fixed to xb.  One LpSession per row slack over the set's
-    factor space serves every fiber and cost of the queries made through
-    one instance (a set's draws and its polygons can share one): a fiber's
+    the binaries are fixed to xb.  Its minimizing factors depend on the rows
+    alone, so a FiberLp serves every set on one row record, each mapping the
+    factors through its own Gc, Gb, c.  One LpSession per row slack serves
+    every fiber and cost of the queries made through one instance: a fiber's
     binaries are pinned through column bounds, which change only when the
     fiber does.  The session with the FEAS_TOL residual columns is built only
-    for a set with a fiber that needs it.  A batch of costs over one fiber
-    (``points``) pays one LP per distinct optimal basis, not one per cost.
-
-    The sessions and leaves depend on the set's rows and factor counts
-    alone, not on its generators: ``over`` hands them to a set that differs
-    only in its generator map, such as successive stage sets of
-    ``reach.state_pairs`` whose ReLU stages add no unstable unit.
+    for rows with a fiber that needs it.  A batch of costs over one fiber
+    (``minimizers``) pays one LP per distinct optimal basis, not one per
+    cost.  Each query makes its own instance, unless its caller passes a
+    scope that holds one per row record (``HybridZonotope._fibers``).
     """
 
     def __init__(self, hz: HybridZonotope):
-        self.hz = hz
-        self._origin = hz  # the set whose leaf search gives the leaves
+        self._rows = hz._rows
         self._sessions: dict = {}  # row slack -> (LpSession, MilpProblem)
         self._pinned: dict = {}  # row slack -> (pinned fiber, its column bounds lb, ub)
         self._movable: dict = {}  # row slack -> columns of the pinned fiber that can move
 
-    def over(self, hz: HybridZonotope) -> "FiberLp":
-        """A FiberLp over ``hz`` that shares this one's sessions, pinned
-        fibers and leaves, so its LPs restart from this one's last bases.
-
-        Raises:
-            ValueError: unless ``hz`` has this set's rows: Ac, Ab and b equal
-                in shape, and so in factor counts, and entry for entry.
-        """
-        z = self.hz
-        if not (np.array_equal(hz.Ac, z.Ac) and np.array_equal(hz.Ab, z.Ab)
-                and np.array_equal(hz.b, z.b)):
-            raise ValueError(f"cannot share the fiber LPs of {z!r} with {hz!r}: "
-                             "their factor counts or rows differ")
-        shared = FiberLp(hz)
-        shared._origin = self._origin
-        shared._sessions, shared._pinned, shared._movable = (
-            self._sessions, self._pinned, self._movable)
-        return shared
-
-    def leaves(self) -> list[np.ndarray]:
-        """The set's feasible leaves (``feasible_binary_assignments``), read
-        from the set this FiberLp was first made for, whose leaf MILP is
-        the same."""
-        return self._origin.feasible_binary_assignments()
-
-    def sample(self, k: int, seed: int) -> np.ndarray:
-        """k member points of the set, deterministic for a fixed seed, shape
-        (k, dim).
-
-        Each draw picks one of the cached leaves at random, and the
-        continuous factors solve that fiber's LP with a random objective, so
-        samples land on vertices of the chosen fiber.  All draws are made
-        first, and each leaf's draws are solved as one batch in draw order
-        (``points``); row j is still the j-th draw's point.  A set with one
-        leaf draws all costs in one call, which yields the same stream as
-        the per-draw loop, since choosing among one leaf consumes no random
-        bits.
-
-        Raises:
-            EmptySetError: if the set is empty.
-        """
-        hz = self.hz
-        assignments = self.leaves()
-        if not assignments:
-            raise EmptySetError("cannot sample an empty set")
-        rng = np.random.default_rng(seed)
-        if len(assignments) == 1:  # rng.integers(1) draws nothing from the stream
-            leaf = np.zeros(k, dtype=int)
-            costs = rng.standard_normal((k, hz.n_g))
-        else:
-            leaf = np.empty(k, dtype=int)
-            costs = np.empty((k, hz.n_g))
-            for j in range(k):
-                leaf[j] = rng.integers(len(assignments))
-                costs[j] = rng.standard_normal(hz.n_g)
-        out = np.empty((k, hz.dim))
-        for i, xb in enumerate(assignments):
-            rows = np.flatnonzero(leaf == i)
-            out[rows] = self.points(xb, costs[rows])
-        return out
-
-    def points(self, xb: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """Member points of fiber ``xb``, one per row of ``costs``: row i is
-        the point whose factors xc minimize costs[i] @ xc.
+    def minimizers(self, xb: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Factors xc of fiber ``xb``, one row per row of ``costs``: row i
+        minimizes costs[i] @ xc.
 
         The costs are solved in order.  After each LP, one reduced-cost test
         over the costs not yet answered gives every cost for which that LP's
@@ -553,15 +548,15 @@ class FiberLp:
         once it has answered fewer costs than the tests it ran.  Rows are
         held exactly first, per fiber: only once this fiber's exact LP is
         infeasible does the rest of the batch run with FEAS_TOL slack, so a
-        fiber nonempty with exact rows gets exact points whatever the other
-        fibers of the set need.
+        fiber nonempty with exact rows gets exact factors whatever the other
+        fibers of the rows need.
 
         Raises:
             EmptySetError: if the fiber is empty even within FEAS_TOL.
         """
-        hz = self.hz
         costs = np.asarray(costs, dtype=float)
-        if hz.n_c == 0 or hz.n_g == 0:
+        n_g = self._rows.Ac.shape[1]
+        if self._rows.b.size == 0 or n_g == 0:
             xc = np.where(costs > 0, -1.0, 1.0)
         else:
             xc = np.empty_like(costs)
@@ -577,25 +572,21 @@ class FiberLp:
                     res = self._solve(slack, xb, costs[i])
                 if not res.is_optimal:
                     raise EmptySetError("enumerated assignment lost feasibility")
-                xc[i] = res.x[:hz.n_g]
+                xc[i] = res.x[:n_g]
                 if certified >= tests and todo.any():
                     rest = np.flatnonzero(todo)
                     hits = rest[self._certified(slack, res.x, costs[rest])]
-                    xc[hits] = res.x[:hz.n_g]
+                    xc[hits] = res.x[:n_g]
                     todo[hits] = False
                     tests += 1
                     certified += hits.size
-        return xc @ hz.Gc.T + hz.Gb @ xb + hz.c
-
-    def maximizers(self, xb: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Points of fiber ``xb``, row i maximizing dirs[i] @ x (``points``)."""
-        return self.points(xb, -(dirs @ self.hz.Gc))
+        return xc
 
     def _solve(self, slack: float, xb: np.ndarray, cost: np.ndarray) -> SolveResult:
         """The LP of fiber ``xb`` at row ``slack`` under ``cost`` over its
         leading factors (xc, or [xc, xb])."""
         if slack not in self._sessions:
-            p = self.hz._milp(slack=slack)
+            p = self._rows.milp(slack=slack)
             self._sessions[slack] = (LpSession(p.lp), p)
         session, p = self._sessions[slack]
         c = np.concatenate([cost, np.zeros(p.lp.num_vars - cost.size)])

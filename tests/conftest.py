@@ -226,7 +226,7 @@ def stages_by_full_hulls(m, X, T, plan, table) -> tuple[dict, list]:
 def member_within(Z, x, tol) -> bool:
     """Membership with every row within ``tol`` instead of FEAS_TOL: the
     point's intersection MILP at that slack, searched from the root."""
-    p = Z.generalized_intersect(HybridZonotope.from_point(x))._milp(slack=tol)
+    p = Z.generalized_intersect(HybridZonotope.from_point(x))._rows.milp(slack=tol)
     return bool(enumerate_binary_leaves(p))
 
 

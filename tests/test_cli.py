@@ -22,7 +22,7 @@ from conftest import box, distance_to_convex_polygon, polygon_area
 
 def test_unit_box_projects_to_square():
     Z = box([-1, -1], [1, 1])
-    polys = emit_projection(FiberLp(Z), (0, 1), 64)
+    polys = emit_projection(Z, (0, 1), 64)
     assert len(polys) == 1
     poly = polys[0]
     for d in (np.array([1.0, 0]), np.array([0, 1.0]),
@@ -36,7 +36,7 @@ def test_unit_box_projects_to_square():
 def test_triangle_projection_area():
     for alpha, beta in [(-1.0, 1.0), (-2.0, 0.5), (-0.4, 1.6)]:
         tri = graph_triangle(NeuronInterval(alpha, beta))
-        polys = emit_projection(FiberLp(tri), (0, 1), 96)
+        polys = emit_projection(tri, (0, 1), 96)
         assert len(polys) == 1
         assert polygon_area(polys[0]) == pytest.approx(-alpha * beta / 2, abs=1e-6)
 
@@ -45,7 +45,7 @@ def test_sampled_points_fall_inside_polygon_union():
     rng = np.random.default_rng(0)
     from conftest import random_hz
     Z = random_hz(rng, dim=3, n_g=4, n_b=2, n_c=2)
-    polys = emit_projection(FiberLp(Z), (0, 2), 64)
+    polys = emit_projection(Z, (0, 2), 64)
     pts = Z.sample_points(500, 1)[:, [0, 2]]
     for p in pts:
         assert min(distance_to_convex_polygon(p, poly) for poly in polys) <= 1e-6
@@ -55,11 +55,11 @@ def test_flat_fibers_keep_their_polygons():
     # FRS_2 of the demo model on the unit square: most of its fibers are
     # segments on x_0 = 0, which exact support offsets used to cut away
     Z = HybridZonotope.load(Path(__file__).parent / "data" / "flat_fibers.json")
-    polys = emit_projection(FiberLp(Z), (0, 1), 16)
+    polys = emit_projection(Z, (0, 1), 16)
     fibers = FiberLp(Z)
     rng = np.random.default_rng(0)
     for xb, poly in zip(Z.feasible_binary_assignments(), polys):
-        for p in fibers.points(xb, rng.standard_normal((20, Z.n_g))):
+        for p in Z._points(xb, rng.standard_normal((20, Z.n_g)), fibers):
             assert distance_to_convex_polygon(p, poly) <= 1e-6
     for p in Z.sample_points(200, 1):
         assert min(distance_to_convex_polygon(p, poly) for poly in polys) <= 1e-6
@@ -70,7 +70,7 @@ def test_thin_fiber_polygon_has_few_vertices():
     # its two end points, and every edge check finds nothing beyond, so the
     # polygon is the segment itself, not a ring of near-duplicate points
     Z = HybridZonotope(Gc=[[0.016], [0.0]], c=[0.016, 0.0])
-    (poly,) = emit_projection(FiberLp(Z), (0, 1), 64)
+    (poly,) = emit_projection(Z, (0, 1), 64)
     assert len(poly) <= 4
     for s in np.linspace(0.0, 0.032, 9):
         assert distance_to_convex_polygon([s, 0.0], poly) <= 1e-6
@@ -93,7 +93,7 @@ def test_projection_vertices_all_turn():
     X = box([0.0, 0.0], [1.0, 1.0])
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 2)
     series = state_pairs(m, X, 2, exact_plan(tbl), table=tbl)
-    polys = emit_projection(FiberLp(frs(series, box([0.0, 0.6], [1.0, 1.0]), 2)), (0, 1), 16)
+    polys = emit_projection(frs(series, box([0.0, 0.6], [1.0, 1.0]), 2), (0, 1), 16)
     assert any(len(p) == 2 for p in polys) and any(len(p) > 2 for p in polys)
     for poly in polys:
         assert np.all(_turns(poly) > 1e-9)
@@ -102,13 +102,13 @@ def test_projection_vertices_all_turn():
 def test_projection_of_empty_set_raises():
     empty = HybridZonotope(Gc=[[1.0], [0.0]], c=[0.0, 0.0], Ac=[[1.0]], b=[9.0])
     with pytest.raises(EmptySetError):
-        emit_projection(FiberLp(empty), (0, 1), 64)
+        emit_projection(empty, (0, 1), 64)
 
 
 def test_projection_polygon_per_binary_assignment():
     # two disjoint fibers: a binary generator splits the set into two squares
     Z = HybridZonotope(Gc=0.2 * np.eye(2), Gb=[[1.0], [0.0]], c=[0.0, 0.0])
-    polys = emit_projection(FiberLp(Z), (0, 1), 32)
+    polys = emit_projection(Z, (0, 1), 32)
     assert len(polys) == 2
     centers = sorted(float(np.mean(p[:, 0])) for p in polys)
     assert centers[0] == pytest.approx(-1.0, abs=1e-6)
@@ -117,13 +117,28 @@ def test_projection_polygon_per_binary_assignment():
 
 def test_projection_rejects_equal_dims():
     with pytest.raises(ValueError):
-        emit_projection(FiberLp(box([0, 0], [1, 1])), (1, 1), 64)
+        emit_projection(box([0, 0], [1, 1]), (1, 1), 64)
+
+
+def test_projection_rejects_coordinates_outside_the_set():
+    # on a 3-D box, (2, -1) would plot x2 against itself and (0, 5) index
+    # past the set
+    for dims in ((2, -1), (0, 5), (3, 1)):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            emit_projection(box([0, 0, 0], [1, 1, 1]), dims, 8)
+
+
+def test_set_projection_rejects_coordinates_outside_the_set():
+    # a negative index would pick a coordinate from the end
+    for dims in ([-1], [0, 3]):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            box([0, 0, 0], [1, 1, 1]).project(dims)
 
 
 def test_projection_rejects_fewer_than_three_directions(tmp_path, half_files):
     # two opposite directions cannot tell a point from a segment across them
     with pytest.raises(ValueError, match="at least 3"):
-        emit_projection(FiberLp(box([0, 0], [1, 1])), (0, 1), 2)
+        emit_projection(box([0, 0], [1, 1]), (0, 1), 2)
     code = main(["forward", "--model", str(half_files / "model.json"),
                  "--domain", str(half_files / "domain.json"),
                  "--initial", str(half_files / "initial.json"),
@@ -139,7 +154,7 @@ def test_polygon_supports_match_lp_supports():
     from conftest import random_hz
     Z = random_hz(rng, dim=2, n_g=4, n_b=1, n_c=1)
     k = 24
-    polys = emit_projection(FiberLp(Z), (0, 1), k)
+    polys = emit_projection(Z, (0, 1), k)
     assignments = Z.feasible_binary_assignments()
     assert len(polys) == len(assignments)
     for poly, xb in zip(polys, assignments):
@@ -173,7 +188,7 @@ def test_zonotope_projects_to_all_its_vertices(k, rows):
     mids = (normals + np.append(normals[1:], normals[0] + 2 * np.pi)) / 2
     dirs = np.column_stack([np.cos(mids), np.sin(mids)])
     vertices = np.array([c + G @ np.sign(d @ G) for d in dirs])
-    (poly,) = emit_projection(FiberLp(Z), (0, 1), k)
+    (poly,) = emit_projection(Z, (0, 1), k)
     assert len(poly) == 24
     gaps = np.linalg.norm(poly[:, None, :] - vertices[None, :, :], axis=2)
     assert np.max(np.min(gaps, axis=1)) <= 1e-9
@@ -495,6 +510,26 @@ def test_verify_reruns_byte_for_byte(tmp_path, case):
         assert main(argv[:-1] + [str(tmp_path / out)]) == 2
         runs.append((tmp_path / out / "verdict.json").read_bytes())
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["forward", "verify"])
+def test_exact_hull_runs_rerun_byte_for_byte(tmp_path, command):
+    # stage sets share their LP sessions only under --hull exact: the demo
+    # model on the unit square from its upper band, N_b=1, T=3, and for
+    # verify a box hit at step 3, write the same files twice
+    x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
+    argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
+                        box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
+    argv = argv[:-2] + ["--hull", "exact", "--nb", "1", "--dirs", "16"]
+    if command == "forward":
+        unsafe = argv.index("--unsafe")
+        argv = ["forward"] + argv[1:unsafe] + argv[unsafe + 2:]
+    codes = [main(argv + ["--out", str(tmp_path / out)]) for out in ("a", "b")]
+    assert codes[0] == codes[1] == (0 if command == "forward" else 2)
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_leaf_cap_is_a_cli_error(tmp_path, monkeypatch, capsys):

@@ -175,7 +175,7 @@ def test_root_search_leaves_match_oracles_in_order(source, seed, n_g, n_b, n_c, 
     else:  # a target about the step-t state of a trajectory from x1
         xt = simulate(demo_system(0), np.array(x1), t).states[t - 1]
         Z = brs(_unit_square_series(n_b + 2), box(xt - radius, xt + radius), t)
-    p = Z._milp(slack=FEAS_TOL)
+    p = Z._rows.milp(slack=FEAS_TOL)
     leaves = [xb.tolist() for xb in enumerate_binary_leaves(p)]
     assert leaves == leaves_one_by_one(p)
     assert leaves == leaves_in_index_order(p)

@@ -11,6 +11,7 @@ from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
                      LpProblem, PrefixMismatchError, lp_solve)
 import hzreach.lp as lp_mod
 from hzreach.lp import LpSession
+from hzreach.relu import NeuronInterval, ReluLabel, relu_layer_output
 from hzreach.sets import FiberLp
 
 from hzreach.projection import emit_projection
@@ -320,7 +321,7 @@ def test_samples_and_projection_of_set_feasible_only_within_tolerance():
     pts = Z.sample_points(20, 0)
     assert np.all(np.abs(pts[:, 0] - 1.0) <= 1e-7)
     assert np.all(np.abs(pts[:, 1]) <= 1.0)
-    polys = emit_projection(FiberLp(Z), (0, 1), 16)
+    polys = emit_projection(Z, (0, 1), 16)
     assert len(polys) == 1
     assert np.max(polys[0][:, 0]) == pytest.approx(1.0, abs=1e-7)
 
@@ -363,7 +364,7 @@ def test_queries_of_nonempty_sets_succeed_and_samples_lie_in_hull(seed, source, 
     pts = Z.sample_points(20, seed % 1000)
     assert np.max(pts @ d) <= Z.support(d) + 1e-6
     assert np.all(pts >= hull.lower - 1e-6) and np.all(pts <= hull.upper + 1e-6)
-    polys = emit_projection(FiberLp(Z), (0, 1), 16)
+    polys = emit_projection(Z, (0, 1), 16)
     assert polys
     vertices = np.vstack(polys)
     assert np.all(vertices >= hull.lower[:2] - 1e-6) and np.all(vertices <= hull.upper[:2] + 1e-6)
@@ -390,8 +391,8 @@ def test_membership_from_cached_leaves_matches_root_search(seed, source, n_g, n_
     fresh = HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, Z.b)
     members = Z.sample_points(8, seed % 1000)
     point = HybridZonotope.from_point(members[0])
-    assert Z.generalized_intersect(point)._leaf_candidates is not None
-    assert fresh.generalized_intersect(point)._leaf_candidates is None
+    assert Z.generalized_intersect(point)._rows.candidates is not None
+    assert fresh.generalized_intersect(point)._rows.candidates is None
     moves = rng.choice([-1.0, 1.0], size=(8, 2))
     for x in np.vstack([members, members + 0.5 * FEAS_TOL * moves,
                         members + 3 * FEAS_TOL * moves]):
@@ -409,7 +410,7 @@ def test_binary_leaves_enumerated_once_per_set(monkeypatch):
     Z = HybridZonotope(Gc=[[0.2, 0.0, 0.0], [0.0, 0.2, 0.0]], Gb=[[1.0], [0.0]],
                        c=[0.0, 0.0], Ac=[[1.0, 0.0, 1.0]], Ab=[[0.0]], b=[0.5])
     Z.sample_points(10, 0)
-    assert len(emit_projection(FiberLp(Z), (0, 1), 8)) == 2
+    assert len(emit_projection(Z, (0, 1), 8)) == 2
     assert not Z.is_empty()
     assert Z.support([1.0, 0.0]) == pytest.approx(1.2, abs=1e-9)
     hull = Z.interval_hull("exact")
@@ -480,7 +481,7 @@ def test_samples_follow_draw_order_of_one_shot_reference():
         for j in range(k):
             assert draws.integers(1) == 0
             costs[j] = draws.standard_normal(W.n_g)
-        assert np.array_equal(W.sample_points(k, seed), FiberLp(W).points(xb, costs))
+        assert np.array_equal(W.sample_points(k, seed), W._points(xb, costs, FiberLp(W)))
 
 
 # -- soundness of the intersection identity -----------------------------------
@@ -538,8 +539,8 @@ def test_stalled_primal_resolve_is_redone_by_dual():
     # fiber LP ends with HiGHS model status "Unknown": the session must redo
     # it by dual simplex instead of failing the query
     Z = HybridZonotope.load(DATA / "stalled_primal.json")
-    polys = emit_projection(FiberLp(Z), (0, 1), 3)
-    assert [len(p) for p in polys] == [len(p) for p in emit_projection(FiberLp(Z), (0, 1), 16)]
+    polys = emit_projection(Z, (0, 1), 3)
+    assert [len(p) for p in polys] == [len(p) for p in emit_projection(Z, (0, 1), 16)]
     for p in Z.sample_points(40, 0):
         assert member_within(Z, p, 1e-9)
 
@@ -576,16 +577,13 @@ def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, si
     leaves = Z.feasible_binary_assignments()
     if not leaves:
         return
-    # the same rows over factor coordinates: its points are the minimizing xc
-    factors = HybridZonotope(np.eye(Z.n_g), np.zeros((Z.n_g, Z.n_b)), np.zeros(Z.n_g),
-                             Z.Ac, Z.Ab, Z.b)
-    fibers = FiberLp(factors)
+    fibers = FiberLp(Z)
     k = 6 if source == "flat" else 20
     for i in rng.permutation(len(leaves))[:3]:
         xb = leaves[i]
         costs = rng.standard_normal((k, Z.n_g))
         costs[k // 2:] = costs[:k - k // 2] * rng.uniform(0.5, 2.0, size=(k - k // 2, 1))
-        for cost, xc in zip(costs, fibers.points(xb, costs)):
+        for cost, xc in zip(costs, fibers.minimizers(xb, costs)):
             assert cost @ xc == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
             assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c)
 
@@ -655,7 +653,7 @@ def test_fiber_feasible_only_within_tolerance_pays_one_exact_lp_per_batch(monkey
     fibers = FiberLp(Z)
     rng = np.random.default_rng(0)
     for batch in range(2):
-        pts = fibers.points(xb, rng.standard_normal((30, 2)))
+        pts = Z._points(xb, rng.standard_normal((30, 2)), fibers)
         infeasible = [r for r in solves if not r.is_optimal]
         assert len(infeasible) == batch + 1
         assert np.all(np.abs(pts[:, 0] - 1.0) <= 1e-7)
@@ -672,48 +670,60 @@ def test_fiber_points_with_an_all_zero_row(monkeypatch):
     Z = HybridZonotope(Gc=G, c=c, Ac=np.zeros((1, 12)), b=np.zeros(1))
     costs = rng.standard_normal((8, 12))
     solves = _count_solves(monkeypatch)
-    pts = FiberLp(Z).points(np.zeros(0), costs)
+    pts = Z._points(np.zeros(0), costs, FiberLp(Z))
     assert len(solves) == 8
     assert np.max(np.abs(pts - (-np.sign(costs) @ G.T + c))) <= 1e-12
 
 
 def _regenerated(rng, Z: HybridZonotope, dim: int) -> HybridZonotope:
-    """A set with Z's rows and factors under a new random generator map."""
-    return HybridZonotope(rng.normal(size=(dim, Z.n_g)), rng.normal(size=(dim, Z.n_b)),
-                          rng.normal(size=dim), Z.Ac, Z.Ab, Z.b)
+    """A set on Z's rows (their record shared) under a new random generator map."""
+    return HybridZonotope._on_rows(rng.normal(size=(dim, Z.n_g)), rng.normal(size=(dim, Z.n_b)),
+                                   rng.normal(size=dim), Z)
 
 
 def test_shared_fiber_lp_needs_the_same_rows_and_factors():
+    # a scope hands one FiberLp to every set built on one row record and to
+    # no other: a set with equal rows built apart gets its own, as does a
+    # set on other rows, and a query without a scope always a new one
     rng = np.random.default_rng(3)
     Z = random_hz(rng, dim=2, n_g=4, n_b=2, n_c=2)
-    fibers = FiberLp(Z)
-    assert fibers.over(_regenerated(rng, Z, 3)).hz.dim == 3
+    scope = {}
+    fibers = Z._fibers(scope)
+    P = Z.affine_map(rng.normal(size=(3, 2)))
+    for Y in (_regenerated(rng, Z, 3), P, Z.project([1]), Z.constrained_product(P)):
+        assert Y._fibers(scope) is fibers
     b, Ac = Z.b.copy(), Z.Ac.copy()
     b[0] += 1e-12
     Ac[1, 2] = -Ac[1, 2]
-    others = [HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, b),
+    others = [HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, Z.b),
+              HybridZonotope(Z.Gc, Z.Gb, Z.c, Z.Ac, Z.Ab, b),
               HybridZonotope(Z.Gc, Z.Gb, Z.c, Ac, Z.Ab, Z.b),
               random_hz(rng, dim=2, n_g=5, n_b=2, n_c=2),
               random_hz(rng, dim=2, n_g=4, n_b=1, n_c=2),
               random_hz(rng, dim=2, n_g=4, n_b=2, n_c=3)]
     for other in others:
-        with pytest.raises(ValueError, match="rows differ"):
-            fibers.over(other)
-    # without rows, only the factor counts tell the sets apart
-    with pytest.raises(ValueError, match="rows differ"):
-        FiberLp(HybridZonotope(Gc=[[1.0, 2.0]], c=[0.0])).over(
-            HybridZonotope(Gc=[[1.0, 2.0, 3.0]], c=[0.0]))
+        assert other._fibers(scope) is not fibers
+    assert len(scope) == 1 + len(others)
+    assert Z._fibers(None) is not Z._fibers(None)
+    # a generator map takes rows only with their factor counts; without
+    # rows, only the factor counts tell the sets apart
+    for n_g, n_b in ((5, 2), (4, 1)):
+        with pytest.raises(ValueError, match="factor counts differ"):
+            HybridZonotope._on_rows(np.ones((2, n_g)), np.ones((2, n_b)), np.zeros(2), Z)
+    with pytest.raises(ValueError, match="factor counts differ"):
+        HybridZonotope._on_rows([[1.0, 2.0, 3.0]], None, [0.0],
+                                HybridZonotope(Gc=[[1.0, 2.0]], c=[0.0]))
 
 
 @pytest.mark.parametrize("source,seed", [("random", 0), ("random", 1), ("random", 2),
                                          ("binary-free", 3), ("flat", 4), ("mixed", 5),
                                          ("mixed", 6)])
 def test_shared_fiber_lp_returns_the_fresh_maximizers(source, seed):
-    # a FiberLp handed on through sets that differ only in their generator
-    # map, its sessions warm from the last set's costs, gives each set the
-    # maximizers of a fresh FiberLp.  The flat fibers hold their rows
-    # exactly; one leaf of each mixed set takes the FEAS_TOL fallback, so
-    # its slack session is shared too
+    # one scope's FiberLp serves sets on one row record that differ in their
+    # generator map, its sessions warm from the last set's costs, and gives
+    # each set the maximizers and leaves of a fresh copy of its blocks.  The
+    # flat fibers hold their rows exactly; one leaf of each mixed set takes
+    # the FEAS_TOL fallback, so its slack session is shared too
     rng = np.random.default_rng(seed)
     if source == "flat":
         Z = HybridZonotope.load(DATA / "flat_fibers.json")
@@ -722,21 +732,52 @@ def test_shared_fiber_lp_returns_the_fresh_maximizers(source, seed):
     else:
         Z = random_hz(rng, dim=2, n_g=5, n_b=0 if source == "binary-free" else 2, n_c=3)
     leaves = Z.feasible_binary_assignments()
-    fibers = FiberLp(Z)
+    scope = {}
+    fibers = Z._fibers(scope)
     for xb in leaves:
-        fibers.maximizers(xb, unit_directions(8, 2, seed))
+        Z._points(xb, -(unit_directions(8, 2, seed) @ Z.Gc), fibers)
     for k, Y in enumerate([Z.affine_map(rng.normal(size=(3, 2)), rng.normal(size=3)),
                            _regenerated(rng, Z, 3), _regenerated(rng, Z, 2)]):
-        fibers = fibers.over(Y)
-        assert [xb.tolist() for xb in fibers.leaves()] == [
-            xb.tolist() for xb in Y.feasible_binary_assignments()]
+        assert Y._fibers(scope) is fibers
+        copy = HybridZonotope(Y.Gc, Y.Gb, Y.c, Y.Ac, Y.Ab, Y.b)
+        assert [xb.tolist() for xb in Y.feasible_binary_assignments()] == [
+            xb.tolist() for xb in copy.feasible_binary_assignments()]
         dirs = unit_directions(12, Y.dim, 10 * seed + k)
         for xb in leaves:
-            fresh = FiberLp(Y).maximizers(xb, dirs)
-            assert np.max(np.abs(fibers.maximizers(xb, dirs) - fresh)) <= 1e-9
-        fresh = Y._leaf_maximizers(dirs, "test")
-        assert np.max(np.abs(Y._leaf_maximizers(dirs, "test", fibers) - fresh)) <= 1e-9
+            fresh = copy._points(xb, -(dirs @ Y.Gc), FiberLp(copy))
+            assert np.max(np.abs(Y._points(xb, -(dirs @ Y.Gc), fibers) - fresh)) <= 1e-9
+        fresh = copy._leaf_maximizers(dirs, "test")
+        assert np.max(np.abs(Y._leaf_maximizers(dirs, "test", scope) - fresh)) <= 1e-9
     assert (FEAS_TOL in fibers._sessions) == (source == "mixed")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_g=st.integers(2, 5), n_b=st.integers(1, 3),
+       n_c=st.integers(1, 3))
+def test_sets_on_unchanged_rows_run_one_leaf_search(seed, n_g, n_b, n_c):
+    # an affine map, a projection, a constrained product and a ReLU layer
+    # with no unstable unit keep their operand's rows: with it, they run
+    # one leaf search, and find the leaves a fresh copy of their blocks finds
+    import hzreach.sets as sets_mod
+    rng = np.random.default_rng(seed)
+    Z = random_hz(rng, dim=2, n_g=n_g, n_b=n_b, n_c=n_c)
+    P = Z.affine_map(rng.normal(size=(3, 2)), rng.normal(size=3))
+    up = Z.affine_map(np.eye(2), 1.0 - Z.interval_hull("generator_relaxed").lower)
+    hull = up.interval_hull("generator_relaxed")  # positive: every unit is stable
+    ivs = [NeuronInterval(lo, hi) for lo, hi in zip(hull.lower, hull.upper)]
+    derived = [P, Z.project([1]), Z.constrained_product(P),
+               relu_layer_output(up, ivs, [ReluLabel.EXACT] * 2)]
+    searches = []
+    real = sets_mod.enumerate_binary_leaves
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets_mod, "enumerate_binary_leaves",
+                   lambda *a, **kw: searches.append(1) or real(*a, **kw))
+        found = [S.feasible_binary_assignments() for S in derived + [Z]]
+    assert len(searches) == 1
+    for S, leaves in zip(derived, found):
+        copy = HybridZonotope(S.Gc, S.Gb, S.c, S.Ac, S.Ab, S.b)
+        assert [xb.tolist() for xb in leaves] == [
+            xb.tolist() for xb in copy.feasible_binary_assignments()]
 
 
 def test_binary_free_set_solves_its_fiber_without_a_leaf_search(monkeypatch):
@@ -754,8 +795,8 @@ def test_binary_free_set_solves_its_fiber_without_a_leaf_search(monkeypatch):
     assert Z.support(d) == searched.support(d)
     hull, ref = Z.interval_hull("exact"), searched.interval_hull("exact")
     assert np.array_equal(hull.lower, ref.lower) and np.array_equal(hull.upper, ref.upper)
-    assert len(sessions) == 4 and Z._leaves is None
+    assert len(sessions) == 4 and Z._rows.leaves is None
     empty = HybridZonotope(Gc=[[1.0, 0.5]], c=[0.0], Ac=[[1.0, 1.0]], b=[2.5])
     with pytest.raises(EmptySetError, match="support of an empty set"):
         empty.support([1.0])
-    assert empty._leaves is None
+    assert empty._rows.leaves is None
