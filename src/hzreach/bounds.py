@@ -11,6 +11,7 @@ construction; tightness only affects ranking and relaxation quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,49 +21,26 @@ from .model import ClosedLoopRnn
 
 @dataclass(frozen=True)
 class BoundsTable:
-    """Pre-activation intervals per (step, layer) and per output step.
+    """Pre-activation intervals per (step, layer) stage.
 
-    ``hidden[(t, l)]`` bounds the layer-l pre-activation at step t for
-    t in [T-1], l in [L]; ``output[t]`` bounds the output pre-activation.
-    The unstable index lists every (t, layer, i) whose interval straddles
-    zero, with the output stage stored as layer L+1.
+    ``stages[(t, l)]`` bounds the layer-l pre-activation at step t for
+    t in [T-1], l in [L]; the output pre-activation of step t is stage
+    (t, L+1).  The map is ordered as the stages are built: by step, then
+    by layer.
     """
 
     horizon: int
-    num_layers: int
-    hidden: dict
-    output: dict
+    stages: dict
 
-    @property
-    def output_layer(self) -> int:
-        return self.num_layers + 1
-
-    def interval_for(self, t: int, layer: int) -> IntervalVector:
-        if layer == self.output_layer:
-            return self.output[t]
-        return self.hidden[(t, layer)]
+    @cached_property
+    def _unstable(self) -> tuple:
+        return tuple((t, layer, int(i)) for (t, layer), iv in self.stages.items()
+                     for i in np.flatnonzero(iv.straddles_zero()))
 
     def unstable_index(self) -> list[tuple[int, int, int]]:
-        idx = []
-        for t in range(1, self.horizon):
-            for layer in range(1, self.num_layers + 1):
-                iv = self.hidden[(t, layer)]
-                for i in range(iv.dim):
-                    if iv.lower[i] < 0.0 < iv.upper[i]:
-                        idx.append((t, layer, i))
-            iv = self.output[t]
-            for i in range(iv.dim):
-                if iv.lower[i] < 0.0 < iv.upper[i]:
-                    idx.append((t, self.output_layer, i))
-        return idx
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hidden": {f"{t},{l}": {"lower": iv.lower.tolist(), "upper": iv.upper.tolist()}
-                       for (t, l), iv in sorted(self.hidden.items())},
-            "output": {str(t): {"lower": iv.lower.tolist(), "upper": iv.upper.tolist()}
-                       for t, iv in sorted(self.output.items())},
-        }
+        """Every (t, layer, i) whose interval straddles zero, in stage order;
+        worked out once per table, since a run asks for it at every step."""
+        return list(self._unstable)
 
 
 def _interval_affine(W: np.ndarray, iv: IntervalVector, bias=None) -> IntervalVector:
@@ -91,8 +69,7 @@ def propagate_intervals(m: ClosedLoopRnn, X: IntervalVector, T: int) -> BoundsTa
         raise ValueError("horizon must be at least 2")
     if X.dim != m.state_dim:
         raise ValueError("domain hull dimension mismatch")
-    hidden: dict = {}
-    output: dict = {}
+    stages: dict = {}
     h_prev = [IntervalVector(np.zeros(w), np.zeros(w)) for w in m.widths]
     state = X
     for t in range(1, T):
@@ -101,15 +78,15 @@ def propagate_intervals(m: ClosedLoopRnn, X: IntervalVector, T: int) -> BoundsTa
         for layer_no, layer in enumerate(m.layers, start=1):
             pre = _interval_add(_interval_affine(layer.Wh, h_prev[layer_no - 1]),
                                 _interval_affine(layer.Wx, inp, layer.vh))
-            hidden[(t, layer_no)] = pre
+            stages[(t, layer_no)] = pre
             post = _interval_relu(pre)
             h_cur.append(post)
             inp = post
         pre_y = _interval_affine(m.Wy, inp, m.vy)
-        output[t] = pre_y
+        stages[(t, m.num_layers + 1)] = pre_y
         state = _interval_relu(pre_y)
         h_prev = h_cur
-    return BoundsTable(T, m.num_layers, hidden, output)
+    return BoundsTable(T, stages)
 
 
 def count_unstable(tbl: BoundsTable, t: int) -> int:

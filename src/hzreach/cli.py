@@ -45,8 +45,7 @@ def _load_model(args):
 def _build_series(model, domain_hz, args):
     tbl = propagate_intervals(model, domain_hz.interval_hull("generator_relaxed"), args.T)
     nb = len(tbl.unstable_index()) if args.nb is None else args.nb
-    plan = rank_unstable(tbl, nb)
-    return state_pairs(model, domain_hz, args.T, plan, hull_mode=args.hull, table=tbl)
+    return state_pairs(model, domain_hz, rank_unstable(tbl, nb), args.hull)
 
 
 def _same_data(a: HybridZonotope, b: HybridZonotope) -> bool:
@@ -98,7 +97,7 @@ def _reach_run(args, route: str, source: HybridZonotope) -> dict:
         predicted = predicted_for_step(series, t, source.complexity, source.complexity)
         table_rows.append({
             "t": t,
-            "n_unstable": count_unstable(series.table, t),
+            "n_unstable": count_unstable(series.plan.table, t),
             "n_exact": series.plan.exact_through(t),
             "measured": list(reached[t].complexity.astuple()),
             "predicted": list(getattr(predicted, route).astuple()),

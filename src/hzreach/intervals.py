@@ -38,6 +38,11 @@ class IntervalVector:
     def radius(self) -> np.ndarray:
         return 0.5 * (self.upper - self.lower)
 
+    def straddles_zero(self) -> np.ndarray:
+        """Mask of the coordinates with lower < 0 < upper: the ReLU units
+        that such pre-activation bounds leave unstable."""
+        return (self.lower < 0.0) & (0.0 < self.upper)
+
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))

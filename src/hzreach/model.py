@@ -195,6 +195,8 @@ def model_to_dict(m: ClosedLoopRnn) -> dict:
 
 def model_from_dict(d: dict) -> ClosedLoopRnn:
     state_dim = _require(d, "state_dim", "top level")
+    if isinstance(state_dim, bool) or not isinstance(state_dim, int):
+        raise ValueError(f"model JSON field 'state_dim' must be an integer, got {state_dim!r}")
     raw_layers = _require(d, "layers", "top level")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ValueError("model JSON field 'layers' must be a non-empty list")
@@ -206,7 +208,7 @@ def model_from_dict(d: dict) -> ClosedLoopRnn:
                                _require(entry, "vh", where)))
     m = ClosedLoopRnn(tuple(layers), _require(d, "Wy", "top level"),
                       _require(d, "vy", "top level"))
-    if m.state_dim != int(state_dim):
+    if m.state_dim != state_dim:
         raise ValueError(f"field 'state_dim' is {state_dim} but layers[0].Wx "
                          f"has {m.state_dim} columns")
     return m

@@ -20,8 +20,9 @@ import numpy as np
 
 from .bounds import BoundsTable, count_unstable
 from .errors import EmptyDomainError
+from .intervals import IntervalVector
 from .model import ClosedLoopRnn
-from .relu import NeuronInterval, ReluLabel, relu_layer_output
+from .relu import ReluLabel, relu_layer_output
 from .sets import ComplexityRecord, HybridZonotope
 
 
@@ -40,13 +41,21 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class RelaxationPlan:
-    """Ranked unstable units with the top ``binary_limit`` labeled exact."""
+    """The ranked unstable units of ``table``, the top ``binary_limit``
+    labeled exact: with the table's horizon and intervals, all that a build
+    of the pair sets takes."""
 
     entries: tuple[PlanEntry, ...]
     binary_limit: int
+    table: BoundsTable
 
-    def label_map(self) -> dict:
-        return {(e.t, e.layer, e.neuron): e.label for e in self.entries}
+    def relaxed(self, t: int, layer: int) -> np.ndarray:
+        """Mask of the stage's units that the plan relaxes."""
+        mask = np.zeros(self.table.stages[(t, layer)].dim, dtype=bool)
+        for e in self.entries:
+            if (e.t, e.layer) == (t, layer) and e.label is ReluLabel.RELAXED:
+                mask[e.neuron] = True
+        return mask
 
     @property
     def all_exact(self) -> bool:
@@ -75,7 +84,7 @@ def rank_unstable(tbl: BoundsTable, n_b: int) -> RelaxationPlan:
         raise ValueError("binary limit must be nonnegative")
     raw = []
     for (t, layer, i) in tbl.unstable_index():
-        iv = tbl.interval_for(t, layer)
+        iv = tbl.stages[(t, layer)]
         alpha, beta = float(iv.lower[i]), float(iv.upper[i])
         raw.append((t, layer, i, alpha, beta, -alpha * beta / 2.0))
     raw.sort(key=lambda r: (-r[5], r[0], r[1], r[2]))
@@ -83,7 +92,7 @@ def rank_unstable(tbl: BoundsTable, n_b: int) -> RelaxationPlan:
         PlanEntry(t, layer, i, alpha, beta, score,
                   ReluLabel.EXACT if rank < n_b else ReluLabel.RELAXED)
         for rank, (t, layer, i, alpha, beta, score) in enumerate(raw))
-    return RelaxationPlan(entries, n_b)
+    return RelaxationPlan(entries, n_b, tbl)
 
 
 def exact_plan(tbl: BoundsTable) -> RelaxationPlan:
@@ -107,7 +116,6 @@ class ReachSeries:
     domain: HybridZonotope
     pairs: dict
     plan: RelaxationPlan
-    table: BoundsTable
     hull_mode: str
 
     @property
@@ -131,68 +139,62 @@ class ReachSeries:
         }
 
 
-def _stage(Z: HybridZonotope, t: int, layer: int, plan_labels: dict,
-           table: BoundsTable, hull_mode: str, scope: dict) -> HybridZonotope:
+def _stage(Z: HybridZonotope, t: int, layer: int, plan: RelaxationPlan,
+           hull_mode: str, scope: dict) -> HybridZonotope:
     """One ReLU stage of the pipeline: its output set.
 
-    The units take the plan's labels.  In ``exact`` mode only the units whose
-    table interval is unstable get LP bounds: the exact hull of their
-    coordinates (``interval_hull``, their min and max), its LPs warm in
-    ``scope``, where every stage set on the same rows finds the same
+    The units take the plan's relaxed mask.  In ``exact`` mode only the
+    units whose table interval is unstable get LP bounds: the exact hull of
+    their coordinates (``interval_hull``, their min and max), its LPs warm
+    in ``scope``, where every stage set on the same rows finds the same
     FiberLp.  Every other unit keeps its table interval:
     ``relu_layer_output`` reads a stable unit only for its sign class, and
     the exact hull lies inside the table's sound enclosure, so it could not
     change that class.
     """
-    iv = table.interval_for(t, layer)
-    lower, upper = iv.lower, iv.upper
+    iv = plan.table.stages[(t, layer)]
     if hull_mode == "exact":
-        unstable = np.flatnonzero((lower < 0.0) & (0.0 < upper))
+        unstable = np.flatnonzero(iv.straddles_zero())
         if unstable.size:
             hull = Z.project(unstable).interval_hull("exact", scope)
-            lower, upper = lower.copy(), upper.copy()
+            lower, upper = iv.lower.copy(), iv.upper.copy()
             lower[unstable], upper[unstable] = hull.lower, hull.upper
+            iv = IntervalVector(lower, upper)
     elif hull_mode != "table":
         raise ValueError(f"unknown hull mode: {hull_mode!r}")
-    ivs = [NeuronInterval(lo, hi) for lo, hi in zip(lower, upper)]
-    labels = [plan_labels.get((t, layer, i), ReluLabel.EXACT) for i in range(iv.dim)]
-    return relu_layer_output(Z, ivs, labels)
+    return relu_layer_output(Z, iv, plan.relaxed(t, layer))
 
 
-def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
-                plan: RelaxationPlan, table: BoundsTable,
+def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, plan: RelaxationPlan,
                 hull_mode: str = "table") -> ReachSeries:
-    """Propagate the domain once, collecting the pair set of every step.
+    """Propagate the domain once, collecting the pair set of every step up
+    to the horizon of the plan's bounds table.
 
     Step 1 maps the domain through each layer directly (all initial hidden
     states are zero); later steps couple h_{t-1}^(l) with h_t^(l-1) through a
     constrained product before the layer's linear map.  ReLU stages use the
-    plan's labels with intervals from the bounds table (``hull_mode="table"``,
-    the default, which solves no LP) or, for the units the table leaves
-    unstable, from the stage set's exact interval hull ("exact", ``_stage``);
-    ``table`` must then enclose every stage set, as ``propagate_intervals``
-    over a hull of X does.  A ReLU stage that adds no unstable unit leaves
-    the next stage set on the same rows, which then shares their leaves and,
-    through one scope for the whole call, their FiberLp: its LPs start warm.
-    Those sessions live only inside this call.
+    plan's relaxed masks with intervals from its bounds table
+    (``hull_mode="table"``, the default, which solves no LP) or, for the
+    units the table leaves unstable, from the stage set's exact interval hull
+    ("exact", ``_stage``); the table must then enclose every stage set, as
+    ``propagate_intervals`` over a hull of X does.  A ReLU stage that adds no
+    unstable unit leaves the next stage set on the same rows, which then
+    shares their leaves and, through one scope for the whole call, their
+    FiberLp: its LPs start warm.  Those sessions live only inside this call.
     Every constrained product's prefix condition is asserted, not assumed.
 
     Raises:
         EmptyDomainError: if X is empty.
     """
-    if T < 2:
-        raise ValueError("horizon must be at least 2")
     if X.dim != m.state_dim:
         raise ValueError("domain dimension must equal the model state dimension")
     if X.is_empty():
         raise EmptyDomainError("state domain is empty")
-    labels = plan.label_map()
-    n = m.state_dim
     pairs: dict = {}
     prev_hidden: list[HybridZonotope] = []
     state_set = X
     scope: dict = {}  # the FiberLp of each row system, for the stage hulls
-    for t in range(1, T):
+    for t in range(1, plan.table.horizon):
         new_hidden = []
         inp = state_set
         for layer_no, layer in enumerate(m.layers, start=1):
@@ -201,14 +203,14 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, T: int,
             else:
                 pair = prev_hidden[layer_no - 1].constrained_product(inp)
                 Z = pair.affine_map(np.hstack([layer.Wh, layer.Wx]), layer.vh)
-            out = _stage(Z, t, layer_no, labels, table, hull_mode, scope)
+            out = _stage(Z, t, layer_no, plan, hull_mode, scope)
             new_hidden.append(out)
             inp = out
         Zy = inp.affine_map(m.Wy, m.vy)
-        state_set = _stage(Zy, t, table.output_layer, labels, table, hull_mode, scope)
+        state_set = _stage(Zy, t, m.num_layers + 1, plan, hull_mode, scope)
         pairs[t + 1] = X.constrained_product(state_set)
         prev_hidden = new_hidden
-    return ReachSeries(m, X, pairs, plan, table, hull_mode)
+    return ReachSeries(m, X, pairs, plan, hull_mode)
 
 
 def _pin(series: ReachSeries, S: HybridZonotope, t: int, block: int) -> HybridZonotope:
@@ -266,7 +268,7 @@ def predicted_for_step(series: ReachSeries, t: int, initial: ComplexityRecord,
     """Prediction for step t of a concrete series, using the plan's realized
     per-step unstable and exact counts (a horizon-global ranking may spend
     part of its budget on stages after step t-1)."""
-    n_t = count_unstable(series.table, t)
+    n_t = count_unstable(series.plan.table, t)
     e_t = series.plan.exact_through(t)
     return predict_complexity(series.domain.complexity, initial, target,
                               n_t, e_t, series.model.state_dim)

@@ -29,6 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotUnstableError
+from .intervals import IntervalVector
 from .sets import HybridZonotope
 
 
@@ -66,12 +67,13 @@ class NeuronInterval:
         return self.alpha < 0.0 < self.beta
 
 
-def _unstable_blocks(iv: NeuronInterval, relaxed: bool = False):
+def _unstable_blocks(alpha, beta, relaxed):
     """Generator/constraint blocks (Gc, Gb, c, Ac, Ab, b) of the gated
-    two-segment encoding over the factors (p, q, s1, s2, sigma); ``relaxed``
-    makes sigma a fifth continuous factor.  Rows of Gc/Gb/c: input, output;
-    rows of Ac/Ab/b: the two gates, then their sum."""
-    a, b = iv.alpha, iv.beta
+    two-segment encoding over [alpha, beta] and the factors
+    (p, q, s1, s2, sigma); ``relaxed`` makes sigma a fifth continuous
+    factor.  Rows of Gc/Gb/c: input, output; rows of Ac/Ab/b: the two
+    gates, then their sum."""
+    a, b = alpha, beta
     G = np.array([[a / 2.0, b / 2.0, 0.0, 0.0, 0.0],
                   [0.0, b / 2.0, 0.0, 0.0, 0.0]])
     A = np.array([[1.0, 0.0, -1.0, 0.0, 1.0],
@@ -95,7 +97,7 @@ def graph_interval(iv: NeuronInterval) -> HybridZonotope:
     if iv.is_stable_negative:
         return HybridZonotope(Gc=[[(b - a) / 2.0], [0.0]],
                               c=[(a + b) / 2.0, 0.0])
-    return HybridZonotope(*_unstable_blocks(iv))
+    return HybridZonotope(*_unstable_blocks(iv.alpha, iv.beta, False))
 
 
 def graph_triangle(iv: NeuronInterval) -> HybridZonotope:
@@ -111,48 +113,50 @@ def graph_triangle(iv: NeuronInterval) -> HybridZonotope:
     if not iv.is_unstable:
         raise NotUnstableError(f"triangle relaxation needs alpha < 0 < beta, "
                                f"got [{iv.alpha}, {iv.beta}]")
-    return HybridZonotope(*_unstable_blocks(iv, relaxed=True))
+    return HybridZonotope(*_unstable_blocks(iv.alpha, iv.beta, True))
 
 
-def relu_layer_graph(Z: HybridZonotope, ivs: list[NeuronInterval],
-                     labels: list[ReluLabel]):
+def relu_layer_graph(Z: HybridZonotope, iv: IntervalVector, relaxed):
     """Graph and image of the ReLU layer over an input set.
 
-    ``ivs`` must be a sound enclosure of Z's coordinate ranges.  The returned
-    graph lives in R^(2m) with coordinates (inputs..., outputs...) and equals,
-    as a set, the generalized intersection of the vector graph with Z under
-    the input selector.  It is the constrained product of Z with the output
+    ``iv`` must be a sound enclosure of Z's coordinate ranges, and
+    ``relaxed[i]`` says whether unit i, if ``iv`` leaves it unstable, takes
+    its triangle in place of its exact encoding.  The returned graph lives
+    in R^(2m) with coordinates (inputs..., outputs...) and equals, as a set,
+    the generalized intersection of the vector graph with Z under the input
+    selector.  It is the constrained product of Z with the output
     (``relu_layer_output``), whose leading factors and rows are Z's.  When
-    every label is exact the output equals the elementwise ReLU image of Z
-    exactly.
+    no unstable unit is relaxed the output equals the elementwise ReLU image
+    of Z exactly.
 
     Returns:
         (graph, output) as hybrid zonotopes sharing Z's leading factors.
     """
-    out = relu_layer_output(Z, ivs, labels)
+    out = relu_layer_output(Z, iv, relaxed)
     return Z.constrained_product(out), out
 
 
-def relu_layer_output(Z: HybridZonotope, ivs: list[NeuronInterval],
-                      labels: list[ReluLabel]) -> HybridZonotope:
-    """The ReLU image of Z, exact when every label is exact.
+def relu_layer_output(Z: HybridZonotope, iv: IntervalVector, relaxed) -> HybridZonotope:
+    """The ReLU image of Z, exact when no unstable unit is relaxed.
 
     The output extends Z's factor space in place of forming the block
     intersection: stable coordinates pass through affinely (or to zero), and
-    each unstable unit appends the factors of its encoding
-    (``_unstable_blocks``, relaxed when its label is), its output row and
-    its two gate rows.  In place of the encoding's summed-gates row, a tie
-    row equates the unit's input row with Z's coordinate expression.  Gate
-    rows come first, two per unit in unit order, then the tie rows.  The
-    added complexity is thus exactly (4, 1, 3) per exact and (5, 0, 3) per
-    relaxed unstable unit.  A layer without unstable units adds no rows, and
-    its output is on Z's rows (``HybridZonotope._on_rows``).
+    each unit that ``iv`` leaves unstable appends the factors of its
+    encoding (``_unstable_blocks``, relaxed where ``relaxed`` says so), its
+    output row and its two gate rows.  In place of the encoding's
+    summed-gates row, a tie row equates the unit's input row with Z's
+    coordinate expression.  Gate rows come first, two per unit in unit
+    order, then the tie rows.  The added complexity is thus exactly
+    (4, 1, 3) per exact and (5, 0, 3) per relaxed unstable unit.  A layer
+    without unstable units adds no rows, and its output is on Z's rows
+    (``HybridZonotope._on_rows``).
     """
     m = Z.dim
-    if len(ivs) != m or len(labels) != m:
-        raise ValueError(f"expected {m} intervals and labels")
-    units = [(i, _unstable_blocks(iv, labels[i] is ReluLabel.RELAXED))
-             for i, iv in enumerate(ivs) if iv.is_unstable]
+    if iv.dim != m or len(relaxed) != m:
+        raise ValueError(f"expected {m} intervals and relaxed flags")
+    lower, upper = iv.lower.tolist(), iv.upper.tolist()  # Python floats: faster per unit
+    units = [(i, _unstable_blocks(lower[i], upper[i], relaxed[i]))
+             for i in np.flatnonzero(iv.straddles_zero()).tolist()]
     ng, nb, nc = Z.n_g, Z.n_b, Z.n_c
     n_g = ng + sum(blocks[0].shape[1] for _, blocks in units)
     n_b = nb + sum(blocks[1].shape[1] for _, blocks in units)
@@ -160,11 +164,8 @@ def relu_layer_output(Z: HybridZonotope, ivs: list[NeuronInterval],
     Gc, Gb, c = np.zeros((m, n_g)), np.zeros((m, n_b)), np.zeros(m)
     Ac, Ab, rhs = np.zeros((rows, n_g)), np.zeros((rows, n_b)), np.zeros(rows)
     Ac[:nc, :ng], Ab[:nc, :nb], rhs[:nc] = Z.Ac, Z.Ab, Z.b
-    for i, iv in enumerate(ivs):
-        if iv.is_stable_positive:  # a stable negative output row stays zero
-            Gc[i, :ng] = Z.Gc[i]
-            Gb[i, :nb] = Z.Gb[i]
-            c[i] = Z.c[i]
+    for i in np.flatnonzero(iv.lower >= 0.0):  # a stable negative output row stays zero
+        Gc[i, :ng], Gb[i, :nb], c[i] = Z.Gc[i], Z.Gb[i], Z.c[i]
     next_c, next_b = ng, nb  # first free continuous and binary columns
     for k, (i, (Gu, Gbu, cu, Au, Abu, ru)) in enumerate(units):
         xc = slice(next_c, next_c + Gu.shape[1])

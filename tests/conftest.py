@@ -8,7 +8,7 @@ import pytest
 from hzreach import (ClosedLoopRnn, HybridZonotope, LpProblem, RnnLayer,
                      SolveStatus, lp_solve)
 from hzreach.lp import LpSession, enumerate_binary_leaves, pinned_bounds
-from hzreach.relu import NeuronInterval, ReluLabel, relu_layer_output
+from hzreach.relu import relu_layer_output
 from hzreach.systems import gate_system, half_system
 
 
@@ -191,23 +191,20 @@ def certified_by_duals(fibers, slack, x, costs):
     return mask, margin
 
 
-def stages_by_full_hulls(m, X, T, plan, table) -> tuple[dict, list]:
+def stages_by_full_hulls(m, X, plan) -> tuple[dict, list]:
     """Reference for ``state_pairs(..., hull_mode="exact")``: every ReLU
     stage takes the full exact interval hull of its stage set, computed
     anew (its own leaf search and fiber sessions), for every unit.  Returns
     the pair sets by step and, per stage in build order, ((t, layer), the
     stage's intervals)."""
-    labels = plan.label_map()
     pairs, stages, prev_hidden, state_set = {}, [], [], X
 
     def stage(Z, t, layer):
         hull = Z.interval_hull("exact")
-        ivs = [NeuronInterval(lo, hi) for lo, hi in zip(hull.lower, hull.upper)]
-        stages.append(((t, layer), ivs))
-        return relu_layer_output(Z, ivs, [labels.get((t, layer, i), ReluLabel.EXACT)
-                                          for i in range(Z.dim)])
+        stages.append(((t, layer), hull))
+        return relu_layer_output(Z, hull, plan.relaxed(t, layer))
 
-    for t in range(1, T):
+    for t in range(1, plan.table.horizon):
         new_hidden, inp = [], state_set
         for layer_no, layer in enumerate(m.layers, start=1):
             if t == 1:
@@ -217,7 +214,7 @@ def stages_by_full_hulls(m, X, T, plan, table) -> tuple[dict, list]:
                 Z = pair.affine_map(np.hstack([layer.Wh, layer.Wx]), layer.vh)
             inp = stage(Z, t, layer_no)
             new_hidden.append(inp)
-        state_set = stage(inp.affine_map(m.Wy, m.vy), t, table.output_layer)
+        state_set = stage(inp.affine_map(m.Wy, m.vy), t, m.num_layers + 1)
         pairs[t + 1] = X.constrained_product(state_set)
         prev_hidden = new_hidden
     return pairs, stages

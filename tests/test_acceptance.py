@@ -39,7 +39,7 @@ def _progress(label, start, budget):
 def _series_for(m, X, T, n_b=None):
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
     plan = exact_plan(tbl) if n_b is None else rank_unstable(tbl, n_b)
-    return state_pairs(m, X, T, plan, table=tbl)
+    return state_pairs(m, X, plan)
 
 
 def _system_with_unstable(seed, lo=1, hi=10, **kw):
@@ -73,7 +73,7 @@ def test_criterion_1_complexity_formulas():
             X1 = random_hz(rng, dim=n, n_g=n + 1, n_b=1, n_c=1, scale=0.05)
             tgt = random_hz(rng, dim=n, n_g=n, n_b=0, n_c=1, scale=0.05)
         for n_b in range(n_total + 2):
-            series = state_pairs(m, X, T, rank_unstable(tbl, n_b), table=tbl)
+            series = state_pairs(m, X, rank_unstable(tbl, n_b))
             for t in range(2, T + 1):
                 pred = predicted_for_step(series, t, X1.complexity, tgt.complexity)
                 assert series.pair_set(t).complexity == pred.pair
@@ -140,11 +140,11 @@ def test_criterion_3_relaxation_laws():
         hull = X.interval_hull("exact")
         span = hull.upper - hull.lower
         X1 = box(hull.lower + 0.2 * span, hull.upper - 0.2 * span)
-        exact = state_pairs(m, X, T, exact_plan(tbl), table=tbl)
+        exact = state_pairs(m, X, exact_plan(tbl))
         prev_sup = None
         prev_R = None
         for n_b in range(n_total + 1):
-            series = state_pairs(m, X, T, rank_unstable(tbl, n_b), table=tbl)
+            series = state_pairs(m, X, rank_unstable(tbl, n_b))
             R = frs(series, X1, T)
             sup = np.array([R.support(d) for d in dirs])
             if prev_sup is not None:
@@ -154,7 +154,7 @@ def test_criterion_3_relaxation_laws():
                     assert prev_R.contains_point(p)
             prev_sup, prev_R = sup, R
         # (b) full budget reproduces the exact sets
-        full = state_pairs(m, X, T, rank_unstable(tbl, n_total), table=tbl)
+        full = state_pairs(m, X, rank_unstable(tbl, n_total))
         for t in range(2, T + 1):
             A, B = frs(exact, X1, t), frs(full, X1, t)
             for d in dirs:
@@ -255,7 +255,8 @@ def test_criterion_6_safety_verification():
         else:
             # strictly above every interval-bounded state: certified safe
             tbl = propagate_intervals(m, hull, 4)
-            top = max(float(np.max(tbl.output[t].upper)) for t in tbl.output)
+            top = max(float(np.max(iv.upper)) for (_, layer), iv in tbl.stages.items()
+                      if layer == m.num_layers + 1)
             top = max(top, float(hull.upper[0]))
             O = box([top + 0.5 * span[0]], [top + 0.8 * span[0]])
         f = verify_forward(_series_for(m, X1, 4), O)
@@ -336,13 +337,13 @@ def test_criterion_8_end_to_end_workflow_rerun(tmp_path):
         traj = simulate(m, p[:n], T)
         assert np.max(np.abs(traj.states[T - 1] - p[n:])) <= PAIR_TOL
     # criterion-3 nesting across the binary-limit ladder
-    tbl = series.table
+    tbl = series.plan.table
     n_total = len(tbl.unstable_index())
     assert n_total >= 4
     dirs = unit_directions(32, 2, seed=8)
     prev = None
     for n_b in sorted({0, n_total // 3, 2 * n_total // 3, n_total}):
-        ladder = state_pairs(m, X1, T, rank_unstable(tbl, n_b), table=tbl)
+        ladder = state_pairs(m, X1, rank_unstable(tbl, n_b))
         sup = np.array([frs(ladder, X1, T).support(d) for d in dirs])
         if prev is not None:
             assert np.all(sup <= prev + SUPPORT_MONO_TOL)

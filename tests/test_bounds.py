@@ -9,10 +9,12 @@ from conftest import box, random_system
 
 def test_half_system_analytic_table(half):
     tbl = propagate_intervals(half, IntervalVector([0.0], [1.0]), 3)
-    assert np.allclose([tbl.hidden[(1, 1)].lower[0], tbl.hidden[(1, 1)].upper[0]], [0, 1])
-    assert np.allclose([tbl.hidden[(2, 1)].lower[0], tbl.hidden[(2, 1)].upper[0]], [0, 0.5])
-    assert np.allclose([tbl.output[1].lower[0], tbl.output[1].upper[0]], [0, 0.5])
-    assert np.allclose([tbl.output[2].lower[0], tbl.output[2].upper[0]], [0, 0.25])
+    # one hidden layer, so the output stage is layer 2
+    assert list(tbl.stages) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert np.allclose([tbl.stages[(1, 1)].lower[0], tbl.stages[(1, 1)].upper[0]], [0, 1])
+    assert np.allclose([tbl.stages[(2, 1)].lower[0], tbl.stages[(2, 1)].upper[0]], [0, 0.5])
+    assert np.allclose([tbl.stages[(1, 2)].lower[0], tbl.stages[(1, 2)].upper[0]], [0, 0.5])
+    assert np.allclose([tbl.stages[(2, 2)].lower[0], tbl.stages[(2, 2)].upper[0]], [0, 0.25])
     assert tbl.unstable_index() == []
 
 
@@ -22,9 +24,9 @@ def test_zero_weight_net_degenerates_to_biases():
                       Wy=np.zeros((2, 2)), vy=np.array([0.1, 0.2]))
     tbl = propagate_intervals(m, IntervalVector([0, 0], [1, 1]), 3)
     for t in (1, 2):
-        iv = tbl.hidden[(t, 1)]
+        iv = tbl.stages[(t, 1)]
         assert np.allclose(iv.lower, vh) and np.allclose(iv.upper, vh)
-        assert np.allclose(tbl.output[t].lower, [0.1, 0.2])
+        assert np.allclose(tbl.stages[(t, 2)].lower, [0.1, 0.2])
 
 
 def test_soundness_on_simulated_trajectories():
@@ -42,10 +44,10 @@ def test_soundness_on_simulated_trajectories():
                 h_prev = (traj.hidden_at(t - 1, ln) if t > 1
                           else np.zeros(layer.width))
                 pre = layer.Wh @ h_prev + layer.Wx @ inp + layer.vh
-                assert tbl.hidden[(t, ln)].contains(pre, tol=1e-9)
+                assert tbl.stages[(t, ln)].contains(pre, tol=1e-9)
                 inp = np.maximum(pre, 0.0)
             pre_y = m.Wy @ inp + m.vy
-            assert tbl.output[t].contains(pre_y, tol=1e-9)
+            assert tbl.stages[(t, m.num_layers + 1)].contains(pre_y, tol=1e-9)
 
 
 def test_enlarging_domain_never_shrinks_intervals():
@@ -54,10 +56,9 @@ def test_enlarging_domain_never_shrinks_intervals():
     hull = domain.interval_hull("exact")
     small = propagate_intervals(m, hull, 4)
     big = propagate_intervals(m, IntervalVector(hull.lower - 0.2, hull.upper + 0.2), 4)
-    for key, iv in small.hidden.items():
-        assert big.hidden[key].encloses(iv)
-    for t, iv in small.output.items():
-        assert big.output[t].encloses(iv)
+    assert list(big.stages) == list(small.stages)
+    for key, iv in small.stages.items():
+        assert big.stages[key].encloses(iv)
 
 
 def test_interval_hull_modes():
@@ -93,21 +94,10 @@ def test_count_unstable_matches_recount():
     for t in (2, 3, 4):
         manual = 0
         for ts in range(1, t):
-            for ln in range(1, m.num_layers + 1):
-                iv = tbl.hidden[(ts, ln)]
+            for ln in range(1, m.num_layers + 2):  # the hidden layers, then the output
+                iv = tbl.stages[(ts, ln)]
                 manual += int(np.sum((iv.lower < 0) & (iv.upper > 0)))
-            iv = tbl.output[ts]
-            manual += int(np.sum((iv.lower < 0) & (iv.upper > 0)))
         assert count_unstable(tbl, t) == manual
-
-
-def test_table_json_dump(gate):
-    tbl = propagate_intervals(gate, IntervalVector([0.0], [1.0]), 3)
-    d = tbl.to_json_dict()
-    assert set(d) == {"hidden", "output"}
-    assert "1,1" in d["hidden"] and "2" in d["output"]
-    assert d["hidden"]["1,1"]["lower"] == [-0.5]
-    assert d["hidden"]["1,1"]["upper"] == [0.5]
 
 
 def test_requires_horizon_two():

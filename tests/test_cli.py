@@ -92,7 +92,7 @@ def test_projection_vertices_all_turn():
     m = demo_system()
     X = box([0.0, 0.0], [1.0, 1.0])
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 2)
-    series = state_pairs(m, X, 2, exact_plan(tbl), table=tbl)
+    series = state_pairs(m, X, exact_plan(tbl))
     polys = emit_projection(frs(series, box([0.0, 0.6], [1.0, 1.0]), 2), (0, 1), 16)
     assert any(len(p) == 2 for p in polys) and any(len(p) > 2 for p in polys)
     for poly in polys:
@@ -315,7 +315,7 @@ def test_backward_run_matches_verify_on_seed_sets(planar_files, tmp_path):
     X1 = HybridZonotope.load(planar_files / "initial.json")
     tgt = HybridZonotope.load(planar_files / "target.json")
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 3)
-    series = state_pairs(m, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(m, X, exact_plan(tbl))
     for row in summary:
         expect = brs(series, tgt, row["t"]).generalized_intersect(X1).is_empty()
         assert row["seed_set_empty"] == expect
@@ -383,7 +383,7 @@ def _two_series_report(model, path, unsafe, T, nb, seed=0):
     def series(dom):
         tbl = propagate_intervals(model, dom.interval_hull("generator_relaxed"), T)
         plan = rank_unstable(tbl, len(tbl.unstable_index()) if nb is None else nb)
-        return state_pairs(model, dom, T, plan, table=tbl)
+        return state_pairs(model, dom, plan)
 
     fwd_series, bwd_series = series(X1), series(X)
     fwd = verify_forward(fwd_series, unsafe, seed=seed).to_json_dict()
@@ -485,12 +485,26 @@ def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypa
     # the demo model on the unit square from its upper band, a box hit at
     # step 3: the routes' leaf searches prove BRS_3 and FRS_3 sets empty or
     # not, and branching on the most fractional binary prunes near the root
-    # where index order pruned only deep in the tree: 130 LPs, 231 in index order
+    # where index order pruned only deep in the tree: 130 LPs, 231 in index
+    # order.  113 of the 130 are the leaf searches' own; the other 17 are
+    # witness draws, whose count follows the draw stream, not the branching
+    import hzreach.sets as sets_mod
     solves = _counted_solves(monkeypatch)
+    searched = []
+    search = sets_mod.enumerate_binary_leaves
+
+    def counted_search(*args, **kwargs):
+        before = len(solves)
+        leaves = search(*args, **kwargs)
+        searched.append(len(solves) - before)
+        return leaves
+
+    monkeypatch.setattr(sets_mod, "enumerate_binary_leaves", counted_search)
     x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
     argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
                         box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
     assert main(argv) == 2
+    assert sum(searched) <= 113
     assert len(solves) <= 130
 
 

@@ -153,7 +153,7 @@ def _unit_square_series(n_b: int):
     ``n_b`` binaries."""
     m, X = demo_system(0), box([0.0, 0.0], [1.0, 1.0])
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), 3)
-    return state_pairs(m, X, 3, rank_unstable(tbl, n_b), table=tbl)
+    return state_pairs(m, X, rank_unstable(tbl, n_b))
 
 
 @pytest.mark.parametrize("source", ["random", "mixed", "brs"])

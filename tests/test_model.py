@@ -146,6 +146,25 @@ def test_dimension_inconsistency_rejected(half):
         model_from_dict(d)
 
 
+@pytest.mark.parametrize("state_dim", [2.9, "2", True])
+def test_state_dim_must_be_a_json_integer(tmp_path, capsys, state_dim):
+    # int() took each of these: 2.9 and "2" loaded the 2-D demo model, and
+    # true (== 1) the 1-D half system
+    from hzreach.cli import main
+    from hzreach.systems import demo_system, half_system
+    m = half_system() if state_dim is True else demo_system(0)
+    d = dict(model_to_dict(m), state_dim=state_dim)
+    with pytest.raises(ValueError, match="state_dim"):
+        model_from_dict(d)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(d))
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"c": [0.5] * m.state_dim, "Gc": np.eye(m.state_dim).tolist()}))
+    assert main(["forward", "--model", str(path), "--domain", str(box), "--initial", str(box),
+                 "-T", "2", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("hzreach: error: model JSON field 'state_dim'")
+
+
 def test_non_finite_weights_rejected(tmp_path, half):
     d = model_to_dict(half)
     d["vy"] = [float("nan")]

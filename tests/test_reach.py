@@ -20,17 +20,17 @@ from conftest import (box, flip_system, grid_points, random_system, stages_by_fu
 
 
 def _table_with_intervals(pairs):
-    """Minimal bounds table exposing given (t, layer) -> (lo, hi) scalars."""
-    hidden = {}
-    output = {}
+    """Minimal bounds table of one hidden layer exposing given
+    (t, layer) -> (lo, hi) scalars; every other stage is stable."""
+    stages = {}
     horizon = 2
     for (t, layer, lo, hi) in pairs:
-        hidden[(t, layer)] = IntervalVector([lo], [hi])
+        stages[(t, layer)] = IntervalVector([lo], [hi])
         horizon = max(horizon, t + 1)
     for t in range(1, horizon):
-        output.setdefault(t, IntervalVector([1.0], [2.0]))
-        hidden.setdefault((t, 1), IntervalVector([1.0], [2.0]))
-    return BoundsTable(horizon, 1, hidden, output)
+        for layer in (1, 2):
+            stages.setdefault((t, layer), IntervalVector([1.0], [2.0]))
+    return BoundsTable(horizon, dict(sorted(stages.items())))
 
 
 # -- ranking ---------------------------------------------------------------
@@ -62,6 +62,10 @@ def test_equal_scores_tie_break_ascending():
     plan = rank_unstable(tbl, 1)
     assert (plan.entries[0].t, plan.entries[0].label) == (1, ReluLabel.EXACT)
     assert (plan.entries[1].t, plan.entries[1].label) == (2, ReluLabel.RELAXED)
+    # the plan carries its table, and each stage's relaxed mask follows the labels
+    assert plan.table is tbl
+    assert [plan.relaxed(t, layer).tolist() for (t, layer) in tbl.stages] == [
+        [False], [False], [True], [False]]
 
 
 # -- state-pair sets on the analytic half system ------------------------------
@@ -69,7 +73,7 @@ def test_equal_scores_tie_break_ascending():
 def test_half_system_pair_set_members(half):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(half, X.interval_hull("exact"), 3)
-    series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(half, X, exact_plan(tbl))
     S2 = series.pair_set(2)
     for x in np.linspace(0, 1, 11):
         assert S2.contains_point([x, 0.5 * x])
@@ -83,7 +87,7 @@ def test_empty_domain_raises(half):
     empty = HybridZonotope(Gc=[[1.0]], c=[0.0], Ac=[[1.0]], b=[3.0])
     tbl = propagate_intervals(half, IntervalVector([0.0], [1.0]), 3)
     with pytest.raises(EmptyDomainError):
-        state_pairs(half, empty, 3, exact_plan(tbl), table=tbl)
+        state_pairs(half, empty, exact_plan(tbl))
 
 
 # -- complexity ---------------------------------------------------------------
@@ -119,7 +123,7 @@ def test_measured_complexity_matches_prediction_on_random_systems():
         X1 = box(X.c - 0.01, X.c + 0.01)
         for n_b in range(n_total + 2):
             plan = rank_unstable(tbl, n_b)
-            series = state_pairs(m, X, T, plan, table=tbl)
+            series = state_pairs(m, X, plan)
             for t in range(2, T + 1):
                 pred = predicted_for_step(series, t, X1.complexity, X1.complexity)
                 assert series.pair_set(t).complexity == pred.pair
@@ -134,7 +138,7 @@ def test_measured_complexity_matches_prediction_on_random_systems():
 def test_half_system_frs_analytic(half):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(half, X.interval_hull("exact"), 3)
-    series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(half, X, exact_plan(tbl))
     R3 = frs(series, box([0.5], [1.0]), 3)
     assert R3.support([1.0]) == pytest.approx(0.25, abs=1e-6)
     assert -R3.support([-1.0]) == pytest.approx(0.125, abs=1e-6)
@@ -146,7 +150,7 @@ def test_frs_identity_dynamics_returns_initial_set():
                       Wy=np.eye(2), vy=np.zeros(2))
     X = box([0.0, 0.0], [1.0, 1.0])
     tbl = propagate_intervals(m, X.interval_hull("exact"), 2)
-    series = state_pairs(m, X, 2, exact_plan(tbl), table=tbl)
+    series = state_pairs(m, X, exact_plan(tbl))
     X1 = box([0.2, 0.3], [0.6, 0.9])
     R2 = frs(series, X1, 2)
     for d in unit_directions(16, 2, seed=4):
@@ -156,7 +160,7 @@ def test_frs_identity_dynamics_returns_initial_set():
 def test_frs_step_out_of_range(half):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(half, X.interval_hull("exact"), 3)
-    series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(half, X, exact_plan(tbl))
     with pytest.raises(IndexError):
         frs(series, X, 4)
     with pytest.raises(IndexError):
@@ -166,7 +170,7 @@ def test_frs_step_out_of_range(half):
 def test_half_system_brs_analytic(half):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(half, X.interval_hull("exact"), 3)
-    series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(half, X, exact_plan(tbl))
     P2 = brs(series, box([0.2], [0.25]), 2)
     assert P2.support([1.0]) == pytest.approx(0.5, abs=1e-6)
     assert -P2.support([-1.0]) == pytest.approx(0.4, abs=1e-6)
@@ -179,7 +183,7 @@ def test_half_system_brs_analytic(half):
 def test_brs_grid_oracle_exact_plan(gate):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(gate, X.interval_hull("exact"), 3)
-    series = state_pairs(gate, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(gate, X, exact_plan(tbl))
     target = box([0.1], [0.3])
     t = 3
     P = brs(series, target, t)
@@ -195,7 +199,7 @@ def test_brs_grid_oracle_exact_plan(gate):
 # -- exactness and relaxation laws --------------------------------------------
 
 def _series_for(m, X, T, n_b, tbl):
-    return state_pairs(m, X, T, rank_unstable(tbl, n_b), table=tbl)
+    return state_pairs(m, X, rank_unstable(tbl, n_b))
 
 
 def test_exact_pair_sets_on_random_systems():
@@ -204,7 +208,7 @@ def test_exact_pair_sets_on_random_systems():
         m, X = random_system(rng, n=1, L=int(rng.integers(1, 3)))
         T = 3
         tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
-        series = state_pairs(m, X, T, exact_plan(tbl), table=tbl)
+        series = state_pairs(m, X, exact_plan(tbl))
         hull = X.interval_hull("exact")
         for t in range(2, T + 1):
             S = series.pair_set(t)
@@ -227,7 +231,7 @@ def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
     m, X = random_system(rng, n=2)
     T = 3
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
-    series = state_pairs(m, X, T, exact_plan(tbl), table=tbl)
+    series = state_pairs(m, X, exact_plan(tbl))
     hull = X.interval_hull("exact")
     span = hull.upper - hull.lower
     lo, hi = hull.lower + 0.2 * span, hull.lower + 0.7 * span
@@ -280,7 +284,7 @@ def test_budget_at_least_n_t_recovers_exact_sets():
     tbl = propagate_intervals(m, X.interval_hull("exact"), T)
     n_total = len(tbl.unstable_index())
     assert n_total >= 2
-    exact = state_pairs(m, X, T, exact_plan(tbl), table=tbl)
+    exact = state_pairs(m, X, exact_plan(tbl))
     capped = _series_for(m, X, T, n_total, tbl)
     X1 = box([0.1], [0.9])
     for t in range(2, T + 1):
@@ -322,8 +326,8 @@ def test_hull_mode_exactness_insensitivity():
     T = 3
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
     plan = exact_plan(tbl)
-    by_table = state_pairs(m, X, T, plan, hull_mode="table", table=tbl)
-    by_exact = state_pairs(m, X, T, plan, hull_mode="exact", table=tbl)
+    by_table = state_pairs(m, X, plan, hull_mode="table")
+    by_exact = state_pairs(m, X, plan, hull_mode="exact")
     for t in range(2, T + 1):
         dirs = unit_directions(32, 4, seed=30 + t)
         a = [by_table.pair_set(t).support(d) for d in dirs]
@@ -340,23 +344,24 @@ def _check_exact_hull_stages(m, X, T, n_b):
     plan = rank_unstable(tbl, n_b)
     stages = []
 
-    def recorded(Z, ivs, labels):
-        stages.append(ivs)
-        return relu_layer_output(Z, ivs, labels)
+    def recorded(Z, iv, relaxed):
+        stages.append(iv)
+        return relu_layer_output(Z, iv, relaxed)
 
     with mock.patch.object(reach_mod, "relu_layer_output", recorded):
-        series = state_pairs(m, X, T, plan, tbl, hull_mode="exact")
-    pairs, oracle = stages_by_full_hulls(m, X, T, plan, tbl)
+        series = state_pairs(m, X, plan, hull_mode="exact")
+    pairs, oracle = stages_by_full_hulls(m, X, plan)
     assert {t: S.complexity for t, S in series.pairs.items()} == {
         t: S.complexity for t, S in pairs.items()}
     assert len(stages) == len(oracle)
-    for ivs, ((t, layer), ref) in zip(stages, oracle):
-        table = tbl.interval_for(t, layer)
-        for i, (iv, r) in enumerate(zip(ivs, ref)):
-            assert (iv.is_stable_positive, iv.is_stable_negative) == (
-                r.is_stable_positive, r.is_stable_negative)
-            if table.lower[i] < 0.0 < table.upper[i]:
-                assert abs(iv.alpha - r.alpha) <= 1e-9 and abs(iv.beta - r.beta) <= 1e-9
+    for iv, ((t, layer), ref) in zip(stages, oracle):
+        unstable = tbl.stages[(t, layer)].straddles_zero()
+        # the same sign classes, stable positive and stable negative
+        assert np.array_equal(iv.lower >= 0.0, ref.lower >= 0.0)
+        assert np.array_equal((iv.lower < 0.0) & (iv.upper <= 0.0),
+                              (ref.lower < 0.0) & (ref.upper <= 0.0))
+        assert np.all(np.abs(iv.lower - ref.lower)[unstable] <= 1e-9)
+        assert np.all(np.abs(iv.upper - ref.upper)[unstable] <= 1e-9)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -400,14 +405,14 @@ def test_exact_hull_build_shares_its_lps(monkeypatch):
     plan = rank_unstable(tbl, 3)
     monkeypatch.setattr(LpSession, "__init__", counted_init)
     monkeypatch.setattr(LpSession, "solve", counted_solve)
-    state_pairs(m, X, 3, plan, tbl, hull_mode="exact")
+    state_pairs(m, X, plan, hull_mode="exact")
     assert counts["sessions"] <= 2 and counts["solves"] <= 16
 
 
 def test_series_json_export(half):
     X = box([0.0], [1.0])
     tbl = propagate_intervals(half, X.interval_hull("exact"), 3)
-    series = state_pairs(half, X, 3, exact_plan(tbl), table=tbl)
+    series = state_pairs(half, X, exact_plan(tbl))
     d = series.to_json_dict()
     assert d["horizon"] == 3
     assert set(d["pairs"]) == {"2", "3"}

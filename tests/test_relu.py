@@ -4,19 +4,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hzreach import (ComplexityRecord, HybridZonotope, NeuronInterval, NotUnstableError,
-                     ReluLabel, graph_interval, graph_triangle, relu_layer_graph)
+from hzreach import (ComplexityRecord, HybridZonotope, IntervalVector, NeuronInterval,
+                     NotUnstableError, graph_interval, graph_triangle, relu_layer_graph)
 
 from conftest import box, polygon_area, random_hz, unit_directions
 
-E, R = ReluLabel.EXACT, ReluLabel.RELAXED
+E, R = False, True  # a unit's entry in a relaxed mask: exact or relaxed
+
+
+def intervals(*bounds) -> IntervalVector:
+    """The interval vector of the given (lower, upper) pairs."""
+    lo, hi = zip(*bounds)
+    return IntervalVector(lo, hi)
 
 
 # -- oracles: the vector graph as a literal product of per-neuron graphs -----
 
-def graph_for_label(iv: NeuronInterval, label: ReluLabel) -> HybridZonotope:
+def graph_for_label(iv: NeuronInterval, relaxed: bool) -> HybridZonotope:
     """Exact graph, or the triangle relaxation for relaxed unstable units."""
-    if label is ReluLabel.RELAXED and iv.is_unstable:
+    if relaxed and iv.is_unstable:
         return graph_triangle(iv)
     return graph_interval(iv)
 
@@ -31,12 +37,13 @@ def inputs_first_permutation(m: int) -> np.ndarray:
     return P
 
 
-def graph_vector(ivs: list[NeuronInterval], labels: list[ReluLabel]) -> HybridZonotope:
+def graph_vector(iv: IntervalVector, labels: list[bool]) -> HybridZonotope:
     """Graph of the vector-valued ReLU over a box, coordinates (inputs..., outputs...).
 
     Cartesian product of the per-neuron graphs, permuted so that all input
-    coordinates come first.
+    coordinates come first; ``labels`` is the relaxed mask.
     """
+    ivs = [NeuronInterval(lo, hi) for lo, hi in zip(iv.lower, iv.upper)]
     if len(ivs) != len(labels):
         raise ValueError("ivs and labels must have equal length")
     if not ivs:
@@ -144,7 +151,7 @@ def test_triangle_contains_exact_graph_samples():
 
 def test_vector_graph_single_neuron_matches_individual():
     iv = NeuronInterval(-1, 2)
-    gv = graph_vector([iv], [E])
+    gv = graph_vector(intervals((-1, 2)), [E])
     gi = graph_interval(iv)
     assert np.array_equal(inputs_first_permutation(1), np.eye(2))
     for d in unit_directions(16, 2, seed=1):
@@ -152,7 +159,7 @@ def test_vector_graph_single_neuron_matches_individual():
 
 
 def test_vector_graph_two_stable_positive_is_diagonal():
-    ivs = [NeuronInterval(0.5, 2), NeuronInterval(1, 3)]
+    ivs = intervals((0.5, 2), (1, 3))
     gv = graph_vector(ivs, [E, E])
     assert gv.dim == 4
     for x1 in np.linspace(0.5, 2, 5):
@@ -162,19 +169,19 @@ def test_vector_graph_two_stable_positive_is_diagonal():
 
 
 def test_vector_graph_projections_match_per_neuron_graphs():
-    ivs = [NeuronInterval(-1, 1), NeuronInterval(0.5, 2), NeuronInterval(-2, 0.7)]
+    ivs = intervals((-1, 1), (0.5, 2), (-2, 0.7))
     labels = [E, E, R]
     gv = graph_vector(ivs, labels)
     m = 3
     for i in range(m):
         proj = gv.project([i, m + i])
-        single = graph_vector([ivs[i]], [labels[i]])
+        single = graph_vector(intervals((ivs.lower[i], ivs.upper[i])), [labels[i]])
         for d in unit_directions(16, 2, seed=10 + i):
             assert proj.support(d) == pytest.approx(single.support(d), abs=1e-8)
 
 
 def test_vector_graph_complexity_increments():
-    ivs = [NeuronInterval(-1, 1), NeuronInterval(0.5, 2), NeuronInterval(-2, 0.7)]
+    ivs = intervals((-1, 1), (0.5, 2), (-2, 0.7))
     gv = graph_vector(ivs, [E, E, E])
     assert gv.complexity == ComplexityRecord(4 + 1 + 4, 1 + 0 + 1, 3 + 0 + 3)
     gv = graph_vector(ivs, [R, R, R])
@@ -183,33 +190,32 @@ def test_vector_graph_complexity_increments():
 
 def test_vector_graph_length_mismatch():
     with pytest.raises(ValueError):
-        graph_vector([NeuronInterval(-1, 1)], [E, E])
+        graph_vector(intervals((-1, 1)), [E, E])
 
 
 # -- layer graphs --------------------------------------------------------
 
 def _enclosure(Z):
-    hull = Z.interval_hull("generator_relaxed")
-    return [NeuronInterval(lo, hi) for lo, hi in zip(hull.lower, hull.upper)]
+    return Z.interval_hull("generator_relaxed")
 
 
 def test_layer_identity_on_positive_segment():
     Z = box([1], [2])
-    _, out = relu_layer_graph(Z, [NeuronInterval(1, 2)], [E])
+    _, out = relu_layer_graph(Z, intervals((1, 2)), [E])
     assert out.support([1.0]) == pytest.approx(2.0, abs=1e-9)
     assert -out.support([-1.0]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_layer_clamps_negative_segment():
     Z = box([-2], [-1])
-    _, out = relu_layer_graph(Z, [NeuronInterval(-2, -1)], [E])
+    _, out = relu_layer_graph(Z, intervals((-2, -1)), [E])
     assert out.support([1.0]) == pytest.approx(0.0, abs=1e-12)
     assert out.support([-1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_layer_exact_on_grid():
     Z = box([-1, -1], [1, 1])
-    ivs = [NeuronInterval(-1, 1)] * 2
+    ivs = intervals((-1, 1), (-1, 1))
     graph, out = relu_layer_graph(Z, ivs, [E, E])
     for x1 in np.linspace(-1, 1, 21):
         for x2 in np.linspace(-1, 1, 21):
@@ -258,7 +264,7 @@ def test_layer_matches_literal_intersection():
 
 def test_layer_complexity_per_unstable_unit():
     Z = box([-1, 0.5, -2], [1, 2, -0.5])
-    ivs = [NeuronInterval(-1, 1), NeuronInterval(0.5, 2), NeuronInterval(-2, -0.5)]
+    ivs = intervals((-1, 1), (0.5, 2), (-2, -0.5))
     graph, out = relu_layer_graph(Z, ivs, [E] * 3)
     assert graph.complexity == ComplexityRecord(3 + 4, 0 + 1, 0 + 3)
     graph, _ = relu_layer_graph(Z, ivs, [R] * 3)
@@ -270,11 +276,9 @@ def test_layer_output_insensitive_to_enclosure_when_exact():
     Z = random_hz(rng, dim=2, n_g=4, n_b=1, n_c=2)
     tight = Z.interval_hull("exact")
     loose = Z.interval_hull("generator_relaxed")
-    ivs_tight = [NeuronInterval(lo, hi) for lo, hi in zip(tight.lower, tight.upper)]
-    ivs_loose = [NeuronInterval(lo - 0.5, hi + 0.5)
-                 for lo, hi in zip(loose.lower, loose.upper)]
-    _, out_tight = relu_layer_graph(Z, ivs_tight, [E, E])
-    _, out_loose = relu_layer_graph(Z, ivs_loose, [E, E])
+    _, out_tight = relu_layer_graph(Z, tight, [E, E])
+    _, out_loose = relu_layer_graph(Z, IntervalVector(loose.lower - 0.5, loose.upper + 0.5),
+                                    [E, E])
     for d in unit_directions(32, 2, seed=9):
         assert out_tight.support(d) == pytest.approx(out_loose.support(d), abs=1e-6)
 
@@ -296,9 +300,9 @@ def test_layer_blocks_bitwise_locked():
     assert len(cases["cases"]) == 34
     for case in cases["cases"]:
         Z = HybridZonotope(*_blocks(case["Z"]))
-        ivs = [NeuronInterval(a, b) for a, b in case["ivs"]]
-        labels = [ReluLabel[name.upper()] for name in case["labels"]]
-        graph, out = relu_layer_graph(Z, ivs, labels)
+        ivs = intervals(*case["ivs"])
+        relaxed = [name == "relaxed" for name in case["labels"]]
+        graph, out = relu_layer_graph(Z, ivs, relaxed)
         for got, key in ((graph, "graph"), (out, "output")):
             for name, want in zip(_BLOCKS, _blocks(case[key])):
                 block = getattr(got, name)

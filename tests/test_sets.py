@@ -11,7 +11,7 @@ from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
                      LpProblem, PrefixMismatchError, lp_solve)
 import hzreach.lp as lp_mod
 from hzreach.lp import LpSession
-from hzreach.relu import NeuronInterval, ReluLabel, relu_layer_output
+from hzreach.relu import relu_layer_output
 from hzreach.sets import FiberLp
 
 from hzreach.projection import emit_projection
@@ -127,14 +127,12 @@ def test_constrained_product_after_pipeline_ops():
     # Y built from Z by an affine map and a ReLU graph step satisfies the
     # prefix condition by construction, and the shared factors couple the
     # paired blocks: every sampled pair is (x, relu(M @ x + v)).
-    from hzreach import NeuronInterval, ReluLabel, relu_layer_graph
+    from hzreach import relu_layer_graph
     rng = np.random.default_rng(9)
     Z = random_hz(rng, dim=2, n_g=3, n_b=1, n_c=1)
     M, v = rng.normal(size=(2, 2)), rng.normal(size=2)
     A = Z.affine_map(M, v)
-    hull = A.interval_hull("generator_relaxed")
-    ivs = [NeuronInterval(lo, hi) for lo, hi in zip(hull.lower, hull.upper)]
-    _, Y = relu_layer_graph(A, ivs, [ReluLabel.EXACT] * 2)
+    _, Y = relu_layer_graph(A, A.interval_hull("generator_relaxed"), [False] * 2)
     prod = Z.constrained_product(Y)
     assert prod.dim == 4
     for p in prod.sample_points(50, 10):
@@ -764,9 +762,8 @@ def test_sets_on_unchanged_rows_run_one_leaf_search(seed, n_g, n_b, n_c):
     P = Z.affine_map(rng.normal(size=(3, 2)), rng.normal(size=3))
     up = Z.affine_map(np.eye(2), 1.0 - Z.interval_hull("generator_relaxed").lower)
     hull = up.interval_hull("generator_relaxed")  # positive: every unit is stable
-    ivs = [NeuronInterval(lo, hi) for lo, hi in zip(hull.lower, hull.upper)]
     derived = [P, Z.project([1]), Z.constrained_product(P),
-               relu_layer_output(up, ivs, [ReluLabel.EXACT] * 2)]
+               relu_layer_output(up, hull, [False] * 2)]
     searches = []
     real = sets_mod.enumerate_binary_leaves
     with pytest.MonkeyPatch.context() as mp:

@@ -16,7 +16,7 @@ from conftest import box, random_system, unit_directions
 def _series(m, X, T, n_b=None):
     tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
     plan = exact_plan(tbl) if n_b is None else rank_unstable(tbl, n_b)
-    return state_pairs(m, X, T, plan, table=tbl)
+    return state_pairs(m, X, plan)
 
 
 # -- analytic half-system fixtures ------------------------------------------
