@@ -11,7 +11,6 @@ construction; tightness only affects ranking and relaxation quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,15 +31,10 @@ class BoundsTable:
     horizon: int
     stages: dict
 
-    @cached_property
-    def _unstable(self) -> tuple:
-        return tuple((t, layer, int(i)) for (t, layer), iv in self.stages.items()
-                     for i in np.flatnonzero(iv.straddles_zero()))
-
     def unstable_index(self) -> list[tuple[int, int, int]]:
-        """Every (t, layer, i) whose interval straddles zero, in stage order;
-        worked out once per table, since a run asks for it at every step."""
-        return list(self._unstable)
+        """Every (t, layer, i) whose interval straddles zero, in stage order."""
+        return [(t, layer, int(i)) for (t, layer), iv in self.stages.items()
+                for i in np.flatnonzero(iv.straddles_zero())]
 
 
 def _interval_affine(W: np.ndarray, iv: IntervalVector, bias=None) -> IntervalVector:
@@ -88,10 +82,3 @@ def propagate_intervals(m: ClosedLoopRnn, X: IntervalVector, T: int) -> BoundsTa
         h_prev = h_cur
     return BoundsTable(T, stages)
 
-
-def count_unstable(tbl: BoundsTable, t: int) -> int:
-    """Unstable ReLU count over all stages contributing to the step-t pair set,
-    i.e. hidden and output stages at steps 1..t-1."""
-    if not 2 <= t <= tbl.horizon:
-        raise IndexError(f"step {t} outside table horizon 2..{tbl.horizon}")
-    return sum(1 for (ts, _, _) in tbl.unstable_index() if ts <= t - 1)

@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import count_unstable, propagate_intervals
+from .bounds import propagate_intervals
 from .errors import HzReachError
 from .model import load_model
 from .projection import emit_projection, write_points_csv, write_svg
@@ -94,13 +94,14 @@ def _reach_run(args, route: str, source: HybridZonotope) -> dict:
         polygons, points = _emit_set(args, f"{route}_t{t}", reached[t], args.seed + t)
         if polygons:
             overlay.append((f"t={t}", polygons, points))
-        predicted = predicted_for_step(series, t, source.complexity, source.complexity)
+        n_unstable, n_exact = series.plan.counts(t)
+        _, predicted = predicted_for_step(series, t, source.complexity)
         table_rows.append({
             "t": t,
-            "n_unstable": count_unstable(series.plan.table, t),
-            "n_exact": series.plan.exact_through(t),
+            "n_unstable": n_unstable,
+            "n_exact": n_exact,
             "measured": list(reached[t].complexity.astuple()),
-            "predicted": list(getattr(predicted, route).astuple()),
+            "predicted": list(predicted.astuple()),
         })
     if overlay:
         write_svg(args.out / f"{route}_overlay.svg", overlay)

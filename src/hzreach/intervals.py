@@ -26,6 +26,13 @@ class IntervalVector:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    def __eq__(self, other):
+        """Equal bounds; the arrays leave the vector unhashable."""
+        if not isinstance(other, IntervalVector):
+            return NotImplemented
+        return bool(np.array_equal(self.lower, other.lower)
+                    and np.array_equal(self.upper, other.upper))
+
     @property
     def dim(self) -> int:
         return self.lower.size

@@ -178,9 +178,19 @@ def simulate(m: ClosedLoopRnn, x1: np.ndarray, T: int) -> Trajectory:
 #  "Wy": [[...]], "vy": [...]}
 
 def _require(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"model JSON {where} must be an object")
     if key not in d:
         raise ValueError(f"model JSON missing field '{key}' in {where}")
     return d[key]
+
+
+def _block(d: dict, key: str, where: str) -> np.ndarray:
+    """A weight or bias block of the model JSON as a float array."""
+    try:
+        return np.asarray(_require(d, key, where), dtype=float)
+    except TypeError as err:  # an object or another non-number among the entries
+        raise ValueError(f"model JSON field '{key}' in {where} must hold numbers") from err
 
 
 def model_to_dict(m: ClosedLoopRnn) -> dict:
@@ -203,11 +213,9 @@ def model_from_dict(d: dict) -> ClosedLoopRnn:
     layers = []
     for k, entry in enumerate(raw_layers, start=1):
         where = f"layers[{k - 1}]"
-        layers.append(RnnLayer(_require(entry, "Wh", where),
-                               _require(entry, "Wx", where),
-                               _require(entry, "vh", where)))
-    m = ClosedLoopRnn(tuple(layers), _require(d, "Wy", "top level"),
-                      _require(d, "vy", "top level"))
+        layers.append(RnnLayer(*(_block(entry, key, where) for key in ("Wh", "Wx", "vh"))))
+    m = ClosedLoopRnn(tuple(layers), _block(d, "Wy", "top level"),
+                      _block(d, "vy", "top level"))
     if m.state_dim != state_dim:
         raise ValueError(f"field 'state_dim' is {state_dim} but layers[0].Wx "
                          f"has {m.state_dim} columns")

@@ -18,17 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsTable, count_unstable
+from .bounds import BoundsTable
 from .errors import EmptyDomainError
 from .intervals import IntervalVector
 from .model import ClosedLoopRnn
-from .relu import ReluLabel, relu_layer_output
+from .relu import relu_layer_output
 from .sets import ComplexityRecord, HybridZonotope
 
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One unstable ReLU unit: location, bounds, score and chosen encoding."""
+    """One unstable ReLU unit: location, bounds, score and whether the plan
+    keeps its exact encoding (else its triangle)."""
 
     t: int
     layer: int
@@ -36,7 +37,7 @@ class PlanEntry:
     alpha: float
     beta: float
     score: float
-    label: ReluLabel
+    exact: bool
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,27 @@ class RelaxationPlan:
         """Mask of the stage's units that the plan relaxes."""
         mask = np.zeros(self.table.stages[(t, layer)].dim, dtype=bool)
         for e in self.entries:
-            if (e.t, e.layer) == (t, layer) and e.label is ReluLabel.RELAXED:
+            if (e.t, e.layer) == (t, layer) and not e.exact:
                 mask[e.neuron] = True
         return mask
 
     @property
     def all_exact(self) -> bool:
-        return all(e.label is ReluLabel.EXACT for e in self.entries)
+        return all(e.exact for e in self.entries)
 
-    def exact_through(self, t: int) -> int:
-        return sum(1 for e in self.entries
-                   if e.t <= t - 1 and e.label is ReluLabel.EXACT)
+    def counts(self, t: int) -> tuple[int, int]:
+        """(n_unstable, n_exact) of the step-t pair set: the unstable units of
+        its stages, hidden and output stages at steps 1..t-1, and how many of
+        them the plan keeps exact."""
+        if not 2 <= t <= self.table.horizon:
+            raise IndexError(f"step {t} outside table horizon 2..{self.table.horizon}")
+        exact = [e.exact for e in self.entries if e.t <= t - 1]
+        return len(exact), sum(exact)
 
     def to_json_list(self) -> list:
         return [{"t": e.t, "layer": e.layer, "neuron": e.neuron,
                  "alpha": e.alpha, "beta": e.beta, "score": e.score,
-                 "label": e.label.name.lower()} for e in self.entries]
+                 "label": "exact" if e.exact else "relaxed"} for e in self.entries]
 
 
 def rank_unstable(tbl: BoundsTable, n_b: int) -> RelaxationPlan:
@@ -88,10 +94,8 @@ def rank_unstable(tbl: BoundsTable, n_b: int) -> RelaxationPlan:
         alpha, beta = float(iv.lower[i]), float(iv.upper[i])
         raw.append((t, layer, i, alpha, beta, -alpha * beta / 2.0))
     raw.sort(key=lambda r: (-r[5], r[0], r[1], r[2]))
-    entries = tuple(
-        PlanEntry(t, layer, i, alpha, beta, score,
-                  ReluLabel.EXACT if rank < n_b else ReluLabel.RELAXED)
-        for rank, (t, layer, i, alpha, beta, score) in enumerate(raw))
+    entries = tuple(PlanEntry(t, layer, i, alpha, beta, score, rank < n_b)
+                    for rank, (t, layer, i, alpha, beta, score) in enumerate(raw))
     return RelaxationPlan(entries, n_b, tbl)
 
 
@@ -234,41 +238,33 @@ def brs(series: ReachSeries, target: HybridZonotope, t: int) -> HybridZonotope:
     return _pin(series, target, t, 1)
 
 
-@dataclass(frozen=True)
-class PredictedComplexity:
-    pair: ComplexityRecord
-    frs: ComplexityRecord
-    brs: ComplexityRecord
-
-
-def predict_complexity(domain: ComplexityRecord, initial: ComplexityRecord,
-                       target: ComplexityRecord, n_t: int, n_b: int,
-                       n: int) -> PredictedComplexity:
-    """Closed-form representation sizes for the step-t pair set, FRS and BRS.
+def predict_complexity(domain: ComplexityRecord, operand: ComplexityRecord, n_t: int,
+                       n_b: int, n: int) -> tuple[ComplexityRecord, ComplexityRecord]:
+    """Closed-form representation sizes of the step-t pair set and of the set
+    that pins one of its blocks to ``operand``: the initial set for an FRS,
+    the target for a BRS.
 
     ``n_t`` is the number of unstable units contributing to the pair set and
     ``n_b`` how many of them are encoded exactly (capped at ``n_t``): each
-    exact unit adds (4, 1, 3), each relaxed unit (5, 0, 3); intersecting with
-    the initial or target set adds its sizes plus n coupling rows.
+    exact unit adds (4, 1, 3), each relaxed unit (5, 0, 3); pinning a block
+    adds the operand's sizes plus n coupling rows.
+
+    Returns:
+        (pair, pinned) complexity records.
     """
     if n_t < 0 or n_b < 0:
         raise ValueError("counts must be nonnegative")
     e = min(n_b, n_t)
     pair = ComplexityRecord(domain.n_g + 5 * n_t - e, domain.n_b + e,
                             domain.n_c + 3 * n_t)
-    fwd = ComplexityRecord(pair.n_g + initial.n_g, pair.n_b + initial.n_b,
-                           pair.n_c + n + initial.n_c)
-    bwd = ComplexityRecord(pair.n_g + target.n_g, pair.n_b + target.n_b,
-                           pair.n_c + n + target.n_c)
-    return PredictedComplexity(pair, fwd, bwd)
+    return pair, pair + operand + ComplexityRecord(0, 0, n)
 
 
-def predicted_for_step(series: ReachSeries, t: int, initial: ComplexityRecord,
-                       target: ComplexityRecord) -> PredictedComplexity:
+def predicted_for_step(series: ReachSeries, t: int, operand: ComplexityRecord
+                       ) -> tuple[ComplexityRecord, ComplexityRecord]:
     """Prediction for step t of a concrete series, using the plan's realized
     per-step unstable and exact counts (a horizon-global ranking may spend
     part of its budget on stages after step t-1)."""
-    n_t = count_unstable(series.plan.table, t)
-    e_t = series.plan.exact_through(t)
-    return predict_complexity(series.domain.complexity, initial, target,
-                              n_t, e_t, series.model.state_dim)
+    n_t, e_t = series.plan.counts(t)
+    return predict_complexity(series.domain.complexity, operand, n_t, e_t,
+                              series.model.state_dim)

@@ -24,18 +24,12 @@ place of the summed-gates row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import NotUnstableError
 from .intervals import IntervalVector
 from .sets import HybridZonotope
-
-
-class ReluLabel(Enum):
-    EXACT = 0
-    RELAXED = 1
 
 
 @dataclass(frozen=True)

@@ -485,16 +485,23 @@ class HybridZonotope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HybridZonotope":
-        if "c" not in d:
-            raise ValueError("hybrid zonotope JSON requires key 'c'")
-        c = np.asarray(d["c"], dtype=float).reshape(-1)
+        if not isinstance(d, dict) or "c" not in d:
+            raise ValueError("hybrid zonotope JSON must be an object with key 'c'")
+
+        def numbers(key, default=()):
+            try:
+                return np.asarray(d.get(key, default), dtype=float)
+            except TypeError as err:  # an object or another non-number among the entries
+                raise ValueError(f"hybrid zonotope JSON key '{key}' must hold numbers") from err
+
+        c = numbers("c").reshape(-1)
         n = c.size
-        b = np.asarray(d.get("b", []), dtype=float).reshape(-1)
+        b = numbers("b").reshape(-1)
         nc = b.size
 
         def block(key, rows, default_cols):
             if key in d:
-                arr = np.asarray(d[key], dtype=float)
+                arr = numbers(key)
                 return arr.reshape(rows, -1) if arr.size else arr.reshape(rows, 0)
             return np.zeros((rows, default_cols))
 

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from hzreach import (LpProblem, MilpProblem, NeuronInterval, Safety,
-                     SolveStatus, brs, count_unstable, exact_plan, frs,
+                     SolveStatus, brs, exact_plan, frs,
                      graph_interval, graph_triangle, milp_solve,
-                     predicted_for_step, propagate_intervals, rank_unstable,
-                     simulate, state_pairs, unsafe_sequences, verify_backward,
-                     verify_forward)
+                     predict_complexity, predicted_for_step, propagate_intervals,
+                     rank_unstable, simulate, state_pairs, unsafe_sequences,
+                     verify_backward, verify_forward)
 from hzreach.cli import main
 from hzreach.systems import demo_initial_box, demo_system, half_system
 
@@ -75,14 +75,19 @@ def test_criterion_1_complexity_formulas():
         for n_b in range(n_total + 2):
             series = state_pairs(m, X, rank_unstable(tbl, n_b))
             for t in range(2, T + 1):
-                pred = predicted_for_step(series, t, X1.complexity, tgt.complexity)
-                assert series.pair_set(t).complexity == pred.pair
-                assert frs(series, X1, t).complexity == pred.frs
-                assert brs(series, tgt, t).complexity == pred.brs
+                pair, fwd = predicted_for_step(series, t, X1.complexity)
+                assert series.pair_set(t).complexity == pair
+                assert frs(series, X1, t).complexity == fwd
+                assert predicted_for_step(series, t, tgt.complexity) == (
+                    pair, brs(series, tgt, t).complexity)
                 checked += 3
             # at the final step the horizon-global printed form applies as-is
-            n_T = count_unstable(tbl, T)
-            assert series.plan.exact_through(T) == min(n_b, n_T)
+            n_T, e_T = series.plan.counts(T)
+            assert e_T == min(n_b, n_T)
+            assert predict_complexity(X.complexity, X1.complexity, n_T, n_b,
+                                      n) == predicted_for_step(series, T, X1.complexity)
+            assert predict_complexity(X.complexity, tgt.complexity, n_T, n_b,
+                                      n) == predicted_for_step(series, T, tgt.complexity)
     assert checked >= 20 * 3
     _progress("1 (complexity formulas)", start, 120)
 

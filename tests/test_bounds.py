@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hzreach import (ClosedLoopRnn, HybridZonotope, IntervalVector, RnnLayer,
-                     count_unstable, propagate_intervals, simulate)
+                     exact_plan, propagate_intervals, rank_unstable, simulate)
 
 from conftest import box, random_system
 
@@ -74,30 +74,50 @@ def test_interval_hull_modes():
 
 
 def test_count_unstable_cases(half, gate):
-    tbl = propagate_intervals(half, IntervalVector([0.0], [1.0]), 4)
+    plan = exact_plan(propagate_intervals(half, IntervalVector([0.0], [1.0]), 4))
     for t in (2, 3, 4):
-        assert count_unstable(tbl, t) == 0
-    tblg = propagate_intervals(gate, IntervalVector([0.0], [1.0]), 4)
+        assert plan.counts(t) == (0, 0)
+    plang = exact_plan(propagate_intervals(gate, IntervalVector([0.0], [1.0]), 4))
     # x' = max(0, 0.5 - x): hidden pre-activation straddles zero at every step
-    assert count_unstable(tblg, 2) == 1
-    assert count_unstable(tblg, 3) >= 1
+    assert plang.counts(2) == (1, 1)
+    assert plang.counts(3)[0] >= 1
     with pytest.raises(IndexError):
-        count_unstable(tblg, 5)
+        plang.counts(5)
     with pytest.raises(IndexError):
-        count_unstable(tblg, 1)
+        plang.counts(1)
 
 
 def test_count_unstable_matches_recount():
     rng = np.random.default_rng(2)
     m, domain = random_system(rng, n=2, L=2)
     tbl = propagate_intervals(m, domain.interval_hull("exact"), 4)
-    for t in (2, 3, 4):
-        manual = 0
-        for ts in range(1, t):
-            for ln in range(1, m.num_layers + 2):  # the hidden layers, then the output
-                iv = tbl.stages[(ts, ln)]
-                manual += int(np.sum((iv.lower < 0) & (iv.upper > 0)))
-        assert count_unstable(tbl, t) == manual
+    n_total = len(tbl.unstable_index())
+    assert n_total >= 2
+    for n_b in (0, 1, n_total // 2, n_total, n_total + 1):
+        plan = rank_unstable(tbl, n_b)
+        top = plan.entries[:n_b]  # the plan ranks by score: its first n_b are exact
+        for t in (2, 3, 4):
+            manual = 0
+            for ts in range(1, t):
+                for ln in range(1, m.num_layers + 2):  # the hidden layers, then the output
+                    iv = tbl.stages[(ts, ln)]
+                    manual += int(np.sum((iv.lower < 0) & (iv.upper > 0)))
+            assert plan.counts(t) == (manual, sum(1 for e in top if e.t <= t - 1))
+
+
+def test_equality_of_intervals_tables_and_plans():
+    assert IntervalVector([0, 0], [1, 1]) == IntervalVector([0.0, 0.0], [1.0, 1.0])
+    assert IntervalVector([0, 0], [1, 1]) != IntervalVector([0, 0], [1, 2])
+    assert IntervalVector([0, 0], [1, 1]) != IntervalVector([0, 0, 0], [1, 1, 1])
+    with pytest.raises(TypeError):
+        hash(IntervalVector([0, 0], [1, 1]))
+    m, domain = random_system(np.random.default_rng(2), n=2, L=2)
+    hull = domain.interval_hull("exact")
+    tbl, again = propagate_intervals(m, hull, 4), propagate_intervals(m, hull, 4)
+    assert tbl == again and tbl is not again
+    assert tbl != propagate_intervals(m, hull, 3)
+    assert rank_unstable(tbl, 1) == rank_unstable(again, 1)
+    assert rank_unstable(tbl, 1) != rank_unstable(tbl, 2)
 
 
 def test_requires_horizon_two():

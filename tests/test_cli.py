@@ -570,6 +570,28 @@ def test_missing_file_exits_nonzero(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("which, spoil", [
+    ("model", lambda d: 3),
+    ("model", lambda d: {**d, "layers": [4]}),
+    ("model", lambda d: {**d, "layers": [{**d["layers"][0], "Wh": {"a": 1.0}}]}),
+    ("model", lambda d: {**d, "Wy": [[1.0, {}]]}),
+    ("domain", lambda d: 5),
+    ("domain", lambda d: ["c"]),
+    ("domain", lambda d: {**d, "c": {"x": 0.5}}),
+    ("domain", lambda d: {**d, "Gc": {"x": 0.5}}),
+], ids=["model-number", "layer-number", "Wh-object", "object-in-Wy",
+        "set-number", "set-list", "c-object", "Gc-object"])
+def test_malformed_json_is_a_cli_error(tmp_path, half_files, capsys, which, spoil):
+    files = {name: half_files / f"{name}.json" for name in ("model", "domain", "initial")}
+    files[which] = tmp_path / "bad.json"
+    files[which].write_text(json.dumps(spoil(json.loads((half_files / f"{which}.json").read_text()))))
+    code = main(["forward", "--model", str(files["model"]), "--domain", str(files["domain"]),
+                 "--initial", str(files["initial"]), "-T", "2", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("hzreach: error: ") and "Traceback" not in err
+
+
 def test_bad_horizon_exits_nonzero(tmp_path, half_files):
     code = main(["forward", "--model", str(half_files / "model.json"),
                  "--domain", str(half_files / "domain.json"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hzreach import (ComplexityRecord, EmptyDomainError, HybridZonotope,
-                     IntervalVector, ReluLabel, brs, exact_plan, frs,
+                     IntervalVector, brs, exact_plan, frs,
                      predict_complexity, predicted_for_step,
                      propagate_intervals, rank_unstable, simulate, state_pairs)
 import hzreach.reach as reach_mod
@@ -51,17 +51,18 @@ def test_binary_limit_edge_cases():
     tbl = _table_with_intervals([(1, 1, -1.0, 2.0), (2, 1, -3.0, 0.5),
                                  (3, 1, -0.1, 0.1)])
     all_relaxed = rank_unstable(tbl, 0)
-    assert all(e.label is ReluLabel.RELAXED for e in all_relaxed.entries)
+    assert not any(e.exact for e in all_relaxed.entries)
     all_exact = rank_unstable(tbl, 3)
-    assert all(e.label is ReluLabel.EXACT for e in all_exact.entries)
+    assert all(e.exact for e in all_exact.entries)
     assert rank_unstable(tbl, 99).all_exact
 
 
 def test_equal_scores_tie_break_ascending():
     tbl = _table_with_intervals([(2, 1, -1.0, 1.0), (1, 1, -1.0, 1.0)])
     plan = rank_unstable(tbl, 1)
-    assert (plan.entries[0].t, plan.entries[0].label) == (1, ReluLabel.EXACT)
-    assert (plan.entries[1].t, plan.entries[1].label) == (2, ReluLabel.RELAXED)
+    assert (plan.entries[0].t, plan.entries[0].exact) == (1, True)
+    assert (plan.entries[1].t, plan.entries[1].exact) == (2, False)
+    assert [e["label"] for e in plan.to_json_list()] == ["exact", "relaxed"]
     # the plan carries its table, and each stage's relaxed mask follows the labels
     assert plan.table is tbl
     assert [plan.relaxed(t, layer).tolist() for (t, layer) in tbl.stages] == [
@@ -95,21 +96,22 @@ def test_empty_domain_raises(half):
 def test_predict_complexity_printed_examples():
     base = ComplexityRecord(4, 0, 0)
     none = ComplexityRecord(0, 0, 0)
-    exact = predict_complexity(base, none, none, n_t=3, n_b=3, n=2)
-    assert exact.pair == ComplexityRecord(16, 3, 9)
-    relaxed = predict_complexity(base, none, none, n_t=9, n_b=2, n=2)
-    assert relaxed.pair == ComplexityRecord(4 + 43, 2, 27)
-    nothing = predict_complexity(base, none, none, n_t=0, n_b=5, n=2)
-    assert nothing.pair == base
+    exact, _ = predict_complexity(base, none, n_t=3, n_b=3, n=2)
+    assert exact == ComplexityRecord(16, 3, 9)
+    relaxed, _ = predict_complexity(base, none, n_t=9, n_b=2, n=2)
+    assert relaxed == ComplexityRecord(4 + 43, 2, 27)
+    nothing, _ = predict_complexity(base, none, n_t=0, n_b=5, n=2)
+    assert nothing == base
 
 
 def test_predict_complexity_reach_terms():
     base = ComplexityRecord(2, 1, 1)
     x1 = ComplexityRecord(3, 0, 2)
     tgt = ComplexityRecord(1, 1, 0)
-    pred = predict_complexity(base, x1, tgt, n_t=2, n_b=2, n=3)
-    assert pred.frs == ComplexityRecord(2 + 8 + 3, 1 + 2 + 0, 1 + 6 + 3 + 2)
-    assert pred.brs == ComplexityRecord(2 + 8 + 1, 1 + 2 + 1, 1 + 6 + 3 + 0)
+    pair, fwd = predict_complexity(base, x1, n_t=2, n_b=2, n=3)
+    assert fwd == ComplexityRecord(2 + 8 + 3, 1 + 2 + 0, 1 + 6 + 3 + 2)
+    assert predict_complexity(base, tgt, n_t=2, n_b=2, n=3) == (
+        pair, ComplexityRecord(2 + 8 + 1, 1 + 2 + 1, 1 + 6 + 3 + 0))
 
 
 def test_measured_complexity_matches_prediction_on_random_systems():
@@ -125,10 +127,10 @@ def test_measured_complexity_matches_prediction_on_random_systems():
             plan = rank_unstable(tbl, n_b)
             series = state_pairs(m, X, plan)
             for t in range(2, T + 1):
-                pred = predicted_for_step(series, t, X1.complexity, X1.complexity)
-                assert series.pair_set(t).complexity == pred.pair
-                assert frs(series, X1, t).complexity == pred.frs
-                assert brs(series, X1, t).complexity == pred.brs
+                pair, pinned = predicted_for_step(series, t, X1.complexity)
+                assert series.pair_set(t).complexity == pair
+                assert frs(series, X1, t).complexity == pinned
+                assert brs(series, X1, t).complexity == pinned
                 checked += 1
     assert checked > 20
 
