@@ -4,8 +4,9 @@ Subcommands:
     forward    FRS per step from a domain + initial set; emits HZ JSON,
                a complexity table and SVG/CSV projections.
     backward   BRS per step for a target set; symmetric outputs.
-    verify     forward + backward safety check against an unsafe set;
-               exit code 0 = Safe, 2 = Unsafe, 3 = Unknown.
+    verify     safety check against an unsafe set: the forward route
+               decides, and the backward route runs only after an Unknown
+               forward verdict; exit code 0 = Safe, 2 = Unsafe, 3 = Unknown.
 
 Outputs are deterministic for a fixed seed and configuration.
 """
@@ -28,6 +29,8 @@ from .verify import Safety, verify_backward, verify_forward
 
 _EXIT_BY_STATUS = {Safety.SAFE: 0, Safety.UNSAFE: 2, Safety.UNKNOWN: 3}
 _SAMPLES_PER_SET = 500
+# verdict.json's block for the backward route when it did not run
+_NOT_RUN = {"status": "not_run", "evidence": [], "witnesses": []}
 
 
 def _load_model(args):
@@ -140,30 +143,24 @@ def cmd_verify(args) -> int:
 
     fwd_series = _build_series(model, initial, args)
     fwd = verify_forward(fwd_series, unsafe, seed=args.seed)
-    # A domain equal to the initial set builds the same series, whose BRS_t
-    # lie in the initial set: the backward route would test the very sets
-    # just checked, so the forward verdict stands for both.  Only an Unknown
-    # one sends the backward route's own witness search over the series.
-    shared = _same_data(domain, initial)
-    bwd_series = fwd_series if shared else _build_series(model, domain, args)
-    if shared and fwd.status is not Safety.UNKNOWN:
-        bwd = fwd
-    else:
+    # Either condition is sufficient and an Unsafe one carries a simulated
+    # witness, so a decided forward verdict is the verdict.  Only an Unknown
+    # one sends the backward route's own witness search over the domain's
+    # series, which is the forward one when the domain is the initial set.
+    status, backward, bwd_series = fwd.status, _NOT_RUN, None
+    if fwd.status is Safety.UNKNOWN:
+        bwd_series = (fwd_series if _same_data(domain, initial)
+                      else _build_series(model, domain, args))
         bwd = verify_backward(bwd_series, unsafe, initial, seed=args.seed)
-
-    if Safety.UNSAFE in (fwd.status, bwd.status):
-        status = Safety.UNSAFE
-    elif Safety.SAFE in (fwd.status, bwd.status):
-        status = Safety.SAFE
-    else:
-        status = Safety.UNKNOWN
+        status, backward = bwd.status, bwd.to_json_dict()
     report = {
         "status": status.value,
         "forward": fwd.to_json_dict(),
-        "backward": bwd.to_json_dict(),
+        "backward": backward,
         "complexity": {
-            route: [{"t": t, "pair": list(s.pair_set(t).complexity.astuple())}
-                    for t in range(2, args.T + 1)]
+            route: [] if s is None else
+            [{"t": t, "pair": list(s.pair_set(t).complexity.astuple())}
+             for t in range(2, args.T + 1)]
             for route, s in (("forward", fwd_series), ("backward", bwd_series))
         },
         "binary_limit": fwd_series.plan.binary_limit,

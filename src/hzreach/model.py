@@ -185,12 +185,23 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def json_floats(value, what: str) -> np.ndarray:
+    """A JSON number or nested lists of them as a float array.  Any other
+    entry raises ValueError naming ``what``: ``np.asarray`` would read true
+    as 1.0, "2" as 2.0 and null as nan."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(reversed(v))
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{what} must hold numbers, got {v!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _block(d: dict, key: str, where: str) -> np.ndarray:
     """A weight or bias block of the model JSON as a float array."""
-    try:
-        return np.asarray(_require(d, key, where), dtype=float)
-    except TypeError as err:  # an object or another non-number among the entries
-        raise ValueError(f"model JSON field '{key}' in {where} must hold numbers") from err
+    return json_floats(_require(d, key, where), f"model JSON field '{key}' in {where}")
 
 
 def model_to_dict(m: ClosedLoopRnn) -> dict:

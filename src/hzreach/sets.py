@@ -32,6 +32,7 @@ from .errors import EmptySetError, LeafLimitError, PrefixMismatchError
 from .intervals import IntervalVector
 from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
                  pinned_bounds)
+from .model import json_floats
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
 # all feasibility decisions (emptiness, membership, leaf enumeration); the
@@ -488,11 +489,8 @@ class HybridZonotope:
         if not isinstance(d, dict) or "c" not in d:
             raise ValueError("hybrid zonotope JSON must be an object with key 'c'")
 
-        def numbers(key, default=()):
-            try:
-                return np.asarray(d.get(key, default), dtype=float)
-            except TypeError as err:  # an object or another non-number among the entries
-                raise ValueError(f"hybrid zonotope JSON key '{key}' must hold numbers") from err
+        def numbers(key):
+            return json_floats(d.get(key, []), f"hybrid zonotope JSON key '{key}'")
 
         c = numbers("c").reshape(-1)
         n = c.size

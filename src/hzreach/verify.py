@@ -107,10 +107,9 @@ def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
     BRS of the unsafe region over this series is.  All empty means Safe.
     Otherwise initial states from that BRS are sampled and simulated; a
     confirmed trajectory gives Unsafe with that witness, no confirmation
-    gives Unknown.  These BRS_t lie in the series domain, so on this series
-    ``verify_backward`` tests the same sets and finds the same evidence: a
-    Safe verdict here is the backward one too, and an Unsafe one's witnesses
-    confirm the backward condition's overlap as well.
+    gives Unknown.  The ``verify`` command runs this route first, and a
+    Safe or Unsafe verdict here is its verdict: the condition is sufficient,
+    and a witness is a simulated counterexample.
     """
     early = _initial_overlap(series.domain, unsafe, seed)
     if early is not None:
@@ -125,10 +124,11 @@ def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
 
     Checks emptiness of BRS_t(unsafe) intersected with X1 for t = 2..T, the
     series' horizon; on exact plans the verdict agrees with the forward route.
-    On a series built over X1 itself these sets are the forward route's, so
-    only an Unknown forward verdict leaves this route work to do: a witness
-    search that samples BRS_t intersected with X1, not BRS_t, and so draws
-    other candidate initial states.
+    The ``verify`` command runs this route only after an Unknown forward
+    verdict.  On a series built over X1 itself its sets are the forward
+    route's, and what it adds is a witness search that samples BRS_t
+    intersected with X1, not BRS_t, and so draws other candidate initial
+    states.
     """
     early = _initial_overlap(X1, unsafe, seed)
     if early is not None:

@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,18 @@ from hzreach import (ClosedLoopRnn, HybridZonotope, LpProblem, RnnLayer,
 from hzreach.lp import LpSession, enumerate_binary_leaves, pinned_bounds
 from hzreach.relu import relu_layer_output
 from hzreach.systems import gate_system, half_system
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """``bench/<name>.py`` imported unchanged from its file.  A module that
+    imports another benchmark module needs ``BENCH`` on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def box(lo, hi) -> HybridZonotope:

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 import hzreach.lp
-from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, exact_plan,
-                     frs, lp_solve, propagate_intervals, rank_unstable, save_model, simulate,
-                     state_pairs, verify_backward, verify_forward)
+from hzreach import (EmptySetError, HybridZonotope, LpProblem, NeuronInterval, Safety,
+                     exact_plan, frs, lp_solve, propagate_intervals, rank_unstable, save_model,
+                     simulate, state_pairs, verify_backward, verify_forward)
+import hzreach.cli as cli
 from hzreach.cli import build_parser, main
 from hzreach.lp import LpSession
+from hzreach.model import model_to_dict
 from hzreach.projection import emit_projection, write_points_csv, write_svg
 from hzreach.sets import FiberLp
 from hzreach.relu import graph_triangle
 from hzreach.systems import demo_initial_box, demo_system, gate_system, half_system
 
-from conftest import box, distance_to_convex_polygon, polygon_area
+from conftest import BENCH, bench_module, box, distance_to_convex_polygon, polygon_area
+
+# verdict.json's block for a backward route that verify did not run
+NOT_RUN = {"status": "not_run", "evidence": [], "witnesses": []}
 
 
 # -- projection polygons -------------------------------------------------
@@ -341,23 +346,21 @@ def test_verify_exit_codes(tmp_path):
 
 
 def test_verify_resolves_one_sided_unknown_to_safe(tmp_path):
-    # backward route alone is inconclusive at nb=0, but the forward series
+    # the backward route alone is inconclusive at nb=0, but the forward series
     # built from the narrow initial set proves safety; either condition is
-    # sufficient, so the combined verdict is Safe.
-    save_model(gate_system(), tmp_path / "model.json")
-    box([0.0], [1.0]).save(tmp_path / "domain.json")
-    box([0.8], [1.0]).save(tmp_path / "initial.json")
-    box([0.05], [0.08]).save(tmp_path / "unsafe.json")
-    code = main(["verify", "--model", str(tmp_path / "model.json"),
-                 "--domain", str(tmp_path / "domain.json"),
-                 "--initial", str(tmp_path / "initial.json"),
-                 "--unsafe", str(tmp_path / "unsafe.json"),
-                 "-T", "2", "--nb", "0", "--out", str(tmp_path / "v")])
+    # sufficient, so verify reports Safe without running the backward route.
+    model, domain, initial = gate_system(), box([0.0], [1.0]), box([0.8], [1.0])
+    unsafe = box([0.05], [0.08])
+    tbl = propagate_intervals(model, domain.interval_hull("generator_relaxed"), 2)
+    bwd_series = state_pairs(model, domain, rank_unstable(tbl, 0))
+    assert verify_backward(bwd_series, unsafe, initial).status is Safety.UNKNOWN
+    code = main(_verify_argv(tmp_path, model, domain, initial, unsafe, 2) + ["--nb", "0"])
     assert code == 0
     report = json.loads((tmp_path / "v" / "verdict.json").read_text())
     assert report["status"] == "safe"
-    assert report["backward"]["status"] == "unknown"
     assert report["forward"]["status"] == "safe"
+    assert report["backward"] == NOT_RUN
+    assert report["complexity"]["backward"] == []
 
 
 def test_verify_unknown_exit_code(planar_files, tmp_path):
@@ -416,17 +419,17 @@ def _shared_verify_argv(tmp_path, model, lo, hi, unsafe, T) -> list:
     return _verify_argv(tmp_path, model, box(lo, hi), box(lo, hi), unsafe, T)
 
 
-def _counted_solves(monkeypatch) -> list:
-    """Patch LpSession.solve to count its calls; the list it appends to."""
-    solves = []
-    solve = LpSession.solve
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Patch ``owner.name`` to count its calls; the list it appends to."""
+    calls = []
+    function = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
-        solves.append(1)
-        return solve(self, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(LpSession, "solve", counted)
-    return solves
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _demo_hit_box() -> HybridZonotope:
@@ -435,13 +438,34 @@ def _demo_hit_box() -> HybridZonotope:
     return box(x3 - 0.01, x3 + 0.01)
 
 
+def _wide_verify_argv(tmp_path, unsafe) -> list:
+    """``verify`` arguments for the demo model on the unit square from its
+    upper band, T=3."""
+    return _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
+                        box([0.0, 0.6], [1.0, 1.0]), unsafe, 3)
+
+
+def _wide_margin_box() -> HybridZonotope:
+    """A box that the relaxed FRS_3 of the upper band meets at nb 0, far from
+    its simulated step-3 states (x_0 below 0.1): forward and backward
+    verdicts are Unknown."""
+    return box([0.4, 0.1], [0.45, 0.15])
+
+
+def _wide_hit_box() -> HybridZonotope:
+    """A box about the step-3 state of a trajectory from the upper band."""
+    x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
+    return box(x3 - 0.02, x3 + 0.02)
+
+
 @pytest.mark.parametrize("system, nb", [("half", None), ("half", 0), ("demo", None),
                                         ("demo", 2), ("margin", None), ("margin", 0)])
 def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, nb):
     # a domain file equal to the initial file gives one series, on which the
-    # backward route would test the forward route's sets: the forward verdict
-    # is reported for both unless it is unknown, when the backward route runs.
-    # Statuses and evidence must be those of two separately built series.
+    # backward route would test the forward route's sets.  A decided forward
+    # verdict is the verdict; an unknown one runs the backward route on that
+    # series.  Verdicts and evidence must be those of two separately built
+    # series.
     # "margin" is the box that only relaxed sets meet: safe exact, unknown at nb 0
     if system == "half":
         model, T, lo, hi, unsafe = half_system(), 5, [0.0], [1.0], box([0.2], [0.21])
@@ -454,12 +478,13 @@ def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, 
     code = main(argv + ([] if nb is None else ["--nb", str(nb)]))
     report = json.loads((tmp_path / "v" / "verdict.json").read_text())
     expected = _two_series_report(model, tmp_path / "initial.json", unsafe, T, nb)
-    fwd, bwd = report["forward"], report["backward"]
-    for key in ("status", "evidence"):
-        assert bwd[key] == expected["backward"][key]
-    if fwd["status"] != "unknown":
-        expected["backward"] = expected["forward"]  # one verdict, reported twice
+    if expected["forward"]["status"] != "unknown":
+        # the backward route run apart leaves the combined verdict the forward one
+        assert expected["status"] == expected["forward"]["status"]
+        expected["backward"] = NOT_RUN
+        expected["complexity"]["backward"] = []
     assert report == expected
+    fwd, bwd = report["forward"], report["backward"]
     for w in fwd["witnesses"] + bwd["witnesses"]:
         assert box(lo, hi).contains_point(w["x1"])
         assert unsafe.contains_point(simulate(model, np.array(w["x1"]), w["t"]).states[-1])
@@ -473,9 +498,9 @@ def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, 
 def test_demo_hit_verify_shares_its_lps(tmp_path, monkeypatch):
     # on the demo box as domain and initial set, a box hit at step 3 costs
     # one series and one route: the forward route's Unsafe verdict is the
-    # backward one too, since the backward route would test the same BRS_t.
+    # verdict, and the backward route would test the same BRS_t.
     # 27 LPs, where running the backward route on the shared series took 33
-    solves = _counted_solves(monkeypatch)
+    solves = _counted(monkeypatch, LpSession, "solve")
     argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(), _demo_hit_box(), 5)
     assert main(argv) == 2
     assert len(solves) <= 27
@@ -483,13 +508,15 @@ def test_demo_hit_verify_shares_its_lps(tmp_path, monkeypatch):
 
 def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypatch):
     # the demo model on the unit square from its upper band, a box hit at
-    # step 3: the routes' leaf searches prove BRS_3 and FRS_3 sets empty or
+    # step 3: the forward route's leaf searches prove BRS_t sets empty or
     # not, and branching on the most fractional binary prunes near the root
-    # where index order pruned only deep in the tree: 130 LPs, 231 in index
-    # order.  113 of the 130 are the leaf searches' own; the other 17 are
-    # witness draws, whose count follows the draw stream, not the branching
+    # where index order pruned only deep in the tree.  With the backward
+    # route run too, the leaf searches took 113 LPs, 231 in index order.
+    # The forward Unsafe verdict stops verify at 68 LPs: 60 are the leaf
+    # searches' own, the other 8 witness draws, whose count follows the
+    # draw stream, not the branching
     import hzreach.sets as sets_mod
-    solves = _counted_solves(monkeypatch)
+    solves = _counted(monkeypatch, LpSession, "solve")
     searched = []
     search = sets_mod.enumerate_binary_leaves
 
@@ -500,28 +527,85 @@ def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypa
         return leaves
 
     monkeypatch.setattr(sets_mod, "enumerate_binary_leaves", counted_search)
-    x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
-    argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
-                        box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
+    argv = _wide_verify_argv(tmp_path, _wide_hit_box())
     assert main(argv) == 2
-    assert sum(searched) <= 113
-    assert len(solves) <= 130
+    assert sum(searched) <= 60
+    assert len(solves) <= 68
+
+
+@pytest.mark.parametrize("kind", ["hit", "far"])
+def test_decided_verify_on_another_domain_skips_the_backward_route(tmp_path, monkeypatch,
+                                                                  kind):
+    # the domain is not the initial set, and a decided forward verdict is
+    # the verdict: verify builds the forward series alone and never runs
+    # the backward route
+    builds = _counted(monkeypatch, cli, "state_pairs")
+    backward = _counted(monkeypatch, cli, "verify_backward")
+    unsafe = _wide_hit_box() if kind == "hit" else box([2.0, 2.0], [2.1, 2.1])
+    assert main(_wide_verify_argv(tmp_path, unsafe)) == (2 if kind == "hit" else 0)
+    assert len(builds) == 1 and backward == []
+    report = json.loads((tmp_path / "v" / "verdict.json").read_text())
+    assert report["backward"] == NOT_RUN
+    assert report["complexity"]["backward"] == []
+    assert [r["t"] for r in report["complexity"]["forward"]] == [2, 3]
+
+
+def test_unknown_verify_on_another_domain_runs_the_backward_route(tmp_path, monkeypatch):
+    # at nb 0 a forward Unknown sends the backward route over a series built
+    # on the domain; its pair sets are those of a series built apart
+    builds = _counted(monkeypatch, cli, "state_pairs")
+    backward = _counted(monkeypatch, cli, "verify_backward")
+    assert main(_wide_verify_argv(tmp_path, _wide_margin_box()) + ["--nb", "0"]) == 3
+    assert len(builds) == 2 and len(backward) == 1
+    report = json.loads((tmp_path / "v" / "verdict.json").read_text())
+    assert report["forward"]["status"] == report["backward"]["status"] == "unknown"
+    model, X = demo_system(0), box([0.0, 0.0], [1.0, 1.0])
+    tbl = propagate_intervals(model, X.interval_hull("generator_relaxed"), 3)
+    series = state_pairs(model, X, rank_unstable(tbl, 0))
+    assert report["complexity"]["backward"] == [
+        {"t": t, "pair": list(series.pair_set(t).complexity.astuple())} for t in (2, 3)]
+
+
+def test_verdicts_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    # bench/checks.py reads both routes' status and witnesses from every
+    # verdict.json: a decided verdict, whose backward route did not run, and
+    # an unknown one, whose routes both ran, pass its verdict check unchanged
+    monkeypatch.syspath_prepend(str(BENCH))  # checks.py imports workloads
+    checks = bench_module("checks")
+    model = model_to_dict(demo_system(0))
+    rng = np.random.default_rng(0)
+    manifest = {"initial": [[0.0, 0.6], [1.0, 1.0]], "T": 3, "nb": 0,
+                "sim_points": rng.uniform([0.0, 0.6], [1.0, 1.0], (64, 2)).tolist()}
+    cases = [(_wide_hit_box(), {"kind": "hit", "step": 3, "source": [0.5, 0.8]}, 2),
+             (_wide_margin_box(), {"kind": "near"}, 3)]
+    for k, (unsafe, spec, code) in enumerate(cases):
+        out = tmp_path / str(k)
+        out.mkdir()
+        assert main(_wide_verify_argv(out, unsafe) + ["--nb", "0"]) == code
+        verdict = json.loads((out / "v" / "verdict.json").read_text())
+        assert (verdict["backward"] == NOT_RUN) == (code != 3)
+        hull = unsafe.interval_hull("exact")
+        failures = []
+        checks.check_verdict(failures, dict(spec, file="unsafe.json", lo=hull.lower.tolist(),
+                                            hi=hull.upper.tolist()),
+                             code, verdict, model, manifest)
+        assert failures == []
 
 
 @pytest.mark.parametrize("case", ["shared", "two_series"])
 def test_verify_reruns_byte_for_byte(tmp_path, case):
-    # the demo box as domain and initial set (one series), and the unit
-    # square from its upper band (two series), each with a box hit at step 3
+    # the demo box as domain and initial set with a box hit at step 3 (one
+    # series), and the unit square from its upper band at nb 0 with a box
+    # only its relaxed sets meet: the forward Unknown runs the backward
+    # route on a second series
     if case == "shared":
-        argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(),
-                                   _demo_hit_box(), 3)
+        argv, code = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(),
+                                         _demo_hit_box(), 3), 2
     else:
-        x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
-        argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
-                            box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
+        argv, code = _wide_verify_argv(tmp_path, _wide_margin_box()) + ["--nb", "0"], 3
     runs = []
     for out in ("a", "b"):
-        assert main(argv[:-1] + [str(tmp_path / out)]) == 2
+        assert main(argv + ["--out", str(tmp_path / out)]) == code
         runs.append((tmp_path / out / "verdict.json").read_bytes())
     assert runs[0] == runs[1]
 
@@ -531,9 +615,7 @@ def test_exact_hull_runs_rerun_byte_for_byte(tmp_path, command):
     # stage sets share their LP sessions only under --hull exact: the demo
     # model on the unit square from its upper band, N_b=1, T=3, and for
     # verify a box hit at step 3, write the same files twice
-    x3 = simulate(demo_system(0), np.array([0.5, 0.8]), 3).states[2]
-    argv = _verify_argv(tmp_path, demo_system(0), box([0.0, 0.0], [1.0, 1.0]),
-                        box([0.0, 0.6], [1.0, 1.0]), box(x3 - 0.02, x3 + 0.02), 3)
+    argv = _wide_verify_argv(tmp_path, _wide_hit_box())
     argv = argv[:-2] + ["--hull", "exact", "--nb", "1", "--dirs", "16"]
     if command == "forward":
         unsafe = argv.index("--unsafe")
@@ -579,8 +661,16 @@ def test_missing_file_exits_nonzero(tmp_path):
     ("domain", lambda d: ["c"]),
     ("domain", lambda d: {**d, "c": {"x": 0.5}}),
     ("domain", lambda d: {**d, "Gc": {"x": 0.5}}),
+    # np.asarray read true as 1.0, "0.5" as 0.5 and null as nan
+    ("model", lambda d: {**d, "layers": [{**d["layers"][0], "Wh": [[True]]}]}),
+    ("model", lambda d: {**d, "vy": [False]}),
+    ("domain", lambda d: {**d, "c": [True]}),
+    ("domain", lambda d: {**d, "Gc": [[0.5, True]]}),
+    ("domain", lambda d: {**d, "c": ["0.5"]}),
+    ("domain", lambda d: {**d, "c": [None]}),
 ], ids=["model-number", "layer-number", "Wh-object", "object-in-Wy",
-        "set-number", "set-list", "c-object", "Gc-object"])
+        "set-number", "set-list", "c-object", "Gc-object",
+        "Wh-boolean", "vy-boolean", "c-boolean", "boolean-in-Gc", "c-string", "c-null"])
 def test_malformed_json_is_a_cli_error(tmp_path, half_files, capsys, which, spoil):
     files = {name: half_files / f"{name}.json" for name in ("model", "domain", "initial")}
     files[which] = tmp_path / "bad.json"

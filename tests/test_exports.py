@@ -6,20 +6,11 @@ that goes away would otherwise only show in a traced benchmark run.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import hzreach
 from hzreach import HybridZonotope
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-
-
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import bench_module
 
 
 def test_every_exported_name_resolves():
@@ -28,7 +19,7 @@ def test_every_exported_name_resolves():
 
 
 def test_every_traced_name_resolves():
-    spans = _spans_module()
+    spans = bench_module("spans")
     for _, module, attr in spans.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
     for meth in spans.METHODS:
