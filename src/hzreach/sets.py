@@ -15,7 +15,11 @@ those rows unchanged shares (``affine_map``, ``project``,
 support, exact interval hulls and sampling are answered from that cache:
 support and hull values are the max/min over member points of the leaves'
 fibers, whose factors ``FiberLp`` solves per row system, holding the rows
-exactly in a fiber that allows it.  A set without binaries has one fiber,
+exactly in a fiber that allows it.  HiGHS solves each fiber LP; a batch of
+costs over one fiber takes a solved LP's vertex wherever that LP's basis is
+certified optimal, and once bases stop repeating a numpy simplex pass from
+the last basis proposes one basis per open cost, whose answer is kept only
+with the same certificate.  A set without binaries has one fiber,
 which support and hulls solve without a leaf search.  Membership of a point
 is emptiness of the set's intersection with the point, at the same
 FEAS_TOL, searched among the set's cached leaves once it has them.
@@ -30,8 +34,8 @@ import numpy as np
 
 from .errors import EmptySetError, LeafLimitError, PrefixMismatchError
 from .intervals import IntervalVector
-from .lp import (LpProblem, LpSession, MilpProblem, SolveResult, enumerate_binary_leaves,
-                 pinned_bounds)
+from .lp import (_HIGHS_OPTIONS, LpProblem, LpSession, MilpProblem, SolveResult,
+                 enumerate_binary_leaves, pinned_bounds)
 from .model import json_floats
 
 # Equality constraints are deemed satisfied within this infinity-norm slack in
@@ -39,6 +43,20 @@ from .model import json_floats
 # fiber points behind support, exact hulls, sampling and projections use it
 # only in a leaf whose fiber is infeasible with exact rows.
 FEAS_TOL = 1e-7
+
+# The simplex pass of ``FiberLp.minimizers`` runs once certification stops
+# with at least PASS_MIN costs open: each pivot costs the pass a few numpy
+# calls however many costs it carries, so below that one HiGHS re-solve per
+# cost is cheaper.  It pivots at most PASS_CHUNK costs at a time, which bounds
+# its memory, and each for at most PASS_PIVOTS pivots and bound flips.
+PASS_MIN = 32
+PASS_CHUNK = 64
+PASS_PIVOTS = 100
+# Entries of an entering column this small are no pivot in the ratio test.
+_PIVOT_TOL = 1e-9
+# The rows and bounds of an answer from the pass hold within the solver's own
+# primal feasibility tolerance.
+_PRIMAL_TOL = _HIGHS_OPTIONS["primal_feasibility_tolerance"]
 
 
 @dataclass(frozen=True)
@@ -442,9 +460,12 @@ class HybridZonotope:
         samples land on vertices of the chosen fiber.  All draws are made
         first, and each leaf's draws are solved as one batch in draw order
         (``FiberLp.minimizers``, warm in ``scope`` when given); row j is
-        still the j-th draw's point.  A set with one leaf draws all costs in
-        one call, which yields the same stream as the per-draw loop, since
-        choosing among one leaf consumes no random bits.
+        still the j-th draw's point.  A fiber with many vertices, whose
+        draws rarely share an optimal basis, has most of its draws answered
+        by the simplex pass of that batch, not by one LP each.  A set with
+        one leaf draws all costs in one call, which yields the same stream
+        as the per-draw loop, since choosing among one leaf consumes no
+        random bits.
 
         Raises:
             EmptySetError: if the set is empty.
@@ -530,9 +551,12 @@ class FiberLp:
     binaries are pinned through column bounds, which change only when the
     fiber does.  The session with the FEAS_TOL residual columns is built only
     for rows with a fiber that needs it.  A batch of costs over one fiber
-    (``minimizers``) pays one LP per distinct optimal basis, not one per
-    cost.  Each query makes its own instance, unless its caller passes a
-    scope that holds one per row record (``HybridZonotope._fibers``).
+    (``minimizers``) pays one LP per distinct optimal basis while bases
+    repeat; once they stop repeating, one vectorized simplex pass from the
+    last LP's basis answers the batch's open costs, and HiGHS only those the
+    pass cannot certify.  Each query makes its own instance, unless its
+    caller passes a scope that holds one per row record
+    (``HybridZonotope._fibers``).
     """
 
     def __init__(self, hz: HybridZonotope):
@@ -550,11 +574,14 @@ class FiberLp:
         optimal basis is optimal too the LP's vertex; the test is one solve
         with that basis over the columns it tests, not one per cost
         (``_certified``).  Certification stops for the rest of the batch
-        once it has answered fewer costs than the tests it ran.  Rows are
-        held exactly first, per fiber: only once this fiber's exact LP is
-        infeasible does the rest of the batch run with FEAS_TOL slack, so a
-        fiber nonempty with exact rows gets exact factors whatever the other
-        fibers of the rows need.
+        once it has answered fewer costs than the tests it ran.  If at least
+        PASS_MIN costs are then open, the simplex pass pivots them all from
+        that LP's basis at once (``_pivoted``); a cost it answers carries the
+        same certificate, checked on its own basis.  Every other cost gets
+        its own LP.  Rows are held exactly first, per fiber: only once this
+        fiber's exact LP is infeasible does the rest of the batch run with
+        FEAS_TOL slack, so a fiber nonempty with exact rows gets exact
+        factors whatever the other fibers of the rows need.
 
         Raises:
             EmptySetError: if the fiber is empty even within FEAS_TOL.
@@ -585,6 +612,11 @@ class FiberLp:
                     todo[hits] = False
                     tests += 1
                     certified += hits.size
+                    if certified < tests and todo.sum() >= PASS_MIN:
+                        rest = np.flatnonzero(todo)
+                        done, x = self._pivoted(slack, res.x, costs[rest])
+                        xc[rest[done]] = x[done, :n_g]
+                        todo[rest[done]] = False
         return xc
 
     def _solve(self, slack: float, xb: np.ndarray, cost: np.ndarray) -> SolveResult:
@@ -603,19 +635,30 @@ class FiberLp:
         self._movable.pop(slack, None)
         return session.solve(c, lb, ub)
 
+    def _movable_columns(self, slack: float) -> np.ndarray:
+        """The columns of the pinned fiber at ``slack`` that can move: not
+        the pinned binaries, and no column of a forcing row, whose
+        right-hand side equals its least or greatest activity over the
+        fiber's box (Andersen & Andersen 1995)."""
+        if slack not in self._movable:
+            _, p = self._sessions[slack]
+            _, lb, ub = self._pinned[slack]
+            A = p.lp.A
+            low, high = np.minimum(A * lb, A * ub), np.maximum(A * lb, A * ub)
+            forcing = (p.lp.b == low.sum(axis=1)) | (p.lp.b == high.sum(axis=1))
+            self._movable[slack] = (lb < ub) & ~A[forcing].any(axis=0)
+        return self._movable[slack]
+
     def _certified(self, slack: float, x: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """Which rows of ``costs`` (over xc) the optimal basis of the last LP
         at ``slack``, whose solution is x, is optimal for.
 
         A basis is optimal for every cost whose reduced costs keep their
-        signs (Bertsimas & Tsitsiklis 1997, section 5.1): d must be >= 0 on
-        each nonbasic column at its lower bound and <= 0 at its upper, tested
-        without tolerance.  The reduced costs d = c - (B^-1 @ A).T @ c_B are
-        linear in the cost (ibid., section 3.1), so one solve
-        B @ W = A[:, test] over the tested columns serves every cost of the
-        batch.  Columns that cannot move are skipped: the pinned binaries and
-        every column of a forcing row, whose right-hand side equals its least
-        or greatest activity over the fiber's box (Andersen & Andersen 1995).
+        signs (``_keeps_signs``).  The reduced costs
+        d = c - (B^-1 @ A).T @ c_B are linear in the cost (Bertsimas &
+        Tsitsiklis 1997, section 3.1), so one solve B @ W = A[:, test] over
+        the tested columns serves every cost of the batch.  Only columns
+        that can move are tested (``_movable_columns``).
         """
         session, p = self._sessions[slack]
         basic = session.basic_variables()
@@ -623,13 +666,9 @@ class FiberLp:
             return np.zeros(len(costs), dtype=bool)
         A = p.lp.A
         _, lb, ub = self._pinned[slack]
-        if slack not in self._movable:
-            low, high = np.minimum(A * lb, A * ub), np.maximum(A * lb, A * ub)
-            forcing = (p.lp.b == low.sum(axis=1)) | (p.lp.b == high.sum(axis=1))
-            self._movable[slack] = (lb < ub) & ~A[forcing].any(axis=0)
         logical = basic < 0
         columns = basic[~logical]
-        test = self._movable[slack].copy()
+        test = self._movable_columns(slack).copy()
         test[columns] = False
         B = np.zeros((A.shape[0], A.shape[0]))  # a logical's column is +/-e_r, its cost 0
         B[:, ~logical] = A[:, columns]
@@ -642,5 +681,182 @@ class FiberLp:
         C[:costs.shape[1]] = costs.T
         d = C[test] - W[~logical].T @ C[columns]
         xt = x[test]
-        at_lb, at_ub = (xt == lb[test])[:, None], (xt == ub[test])[:, None]
-        return ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=0)
+        return _keeps_signs(d.T, xt == lb[test], xt == ub[test])
+
+    def _pivoted(self, slack: float, x: np.ndarray,
+                 costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of ``costs`` (over xc) the simplex pass answers, and
+        for each of those its optimal columns (the other rows are unset).
+
+        Every cost starts from the optimal basis of the last LP at
+        ``slack``, whose solution is x (``_BoundedSimplex``).
+        """
+        session, p = self._sessions[slack]
+        basic = session.basic_variables()
+        if basic is None:
+            return np.zeros(len(costs), dtype=bool), np.empty((len(costs), p.lp.num_vars))
+        _, lb, ub = self._pinned[slack]
+        simplex = _BoundedSimplex(p.lp.A, p.lp.b, lb, ub, self._movable_columns(slack))
+        C = np.zeros((len(costs), p.lp.num_vars))
+        C[:, :costs.shape[1]] = costs
+        return simplex.solve(basic, x, C)
+
+
+def _keeps_signs(d: np.ndarray, at_lb: np.ndarray, at_ub: np.ndarray) -> np.ndarray:
+    """Is a basis optimal for each cost, given the reduced costs d of its
+    tested nonbasic columns (one row per cost) and whether each such column
+    sits at its lower or upper bound?  It is when every d is >= 0 at a lower
+    bound and <= 0 at an upper one (Bertsimas & Tsitsiklis 1997, section
+    5.1), tested without tolerance."""
+    return ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=-1)
+
+
+class _BoundedSimplex:
+    """The primal simplex with bounded variables (Bertsimas & Tsitsiklis
+    1997, chapter 3, and section 5.1 for the bounds), run on many costs at
+    once in numpy over one fiber LP: minimize c @ x subject to A @ x = b,
+    lb <= x <= ub.
+
+    Row r's logical is column n + r of [A, I], fixed at 0, as HiGHS reports
+    its basis (``LpSession.basic_variables``).  Every cost starts from one
+    primal feasible basis and keeps its own basis and explicit inverse.
+    Pricing is Dantzig's, over the movable columns only (the others never
+    enter); the ratio test is the textbook one, with bound flips; the
+    inverse takes a product-form update, in place and only for the costs
+    still pivoting.  A cost stops once no reduced cost has a sign that
+    improves it, or after PASS_PIVOTS pivots and flips.
+
+    The pass only proposes bases.  A cost's answer is accepted only if a
+    fresh solve with its final basis, not the updated inverse, gives
+    columns within the session's primal tolerance of every row and bound and
+    reduced costs that keep their signs (``_keeps_signs``).
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                 movable: np.ndarray):
+        m, n = A.shape
+        self.n = n
+        self.A = np.hstack([A, np.eye(m)])
+        self.b = b
+        self.lb = np.concatenate([lb, np.zeros(m)])
+        self.ub = np.concatenate([ub, np.zeros(m)])
+        self.movable = np.concatenate([movable, np.zeros(m, dtype=bool)])
+
+    def solve(self, basic: np.ndarray, x: np.ndarray,
+              C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which costs (rows of C, over the n columns) the pass answers, and
+        their optimal columns (the other rows are unset), from the basis
+        ``basic`` in the form of ``LpSession.basic_variables`` whose solution
+        is x.  At most PASS_CHUNK costs pivot at a time."""
+        (k, n), m = C.shape, self.A.shape[0]
+        answered, x_out = np.zeros(k, dtype=bool), np.empty((k, n))
+        basis = np.where(basic >= 0, basic, n - 1 - basic)
+        x = np.concatenate([x, np.zeros(m)])
+        nonbasic = np.ones(x.size, dtype=bool)
+        nonbasic[basis] = False
+        if not ((x == self.lb) | (x == self.ub))[nonbasic].all():
+            return answered, x_out
+        try:
+            inverse = np.linalg.inv(self.A[:, basis])
+        except np.linalg.LinAlgError:
+            return answered, x_out
+        x[basis] = inverse @ (self.b - self.A[:, nonbasic] @ x[nonbasic])
+        C = np.hstack([C, np.zeros((k, m))])
+        for start in range(0, k, PASS_CHUNK):
+            chunk = np.arange(start, min(start + PASS_CHUNK, k))
+            stopped, bases, xs = self._pivot(basis, inverse, x, C[chunk])
+            if not stopped.any():
+                continue
+            ok, cols = self._check(bases[stopped], xs[stopped], C[chunk[stopped]])
+            kept = chunk[stopped][ok]
+            answered[kept], x_out[kept] = True, cols[ok]
+        return answered, x_out
+
+    def _pivot(self, basis: np.ndarray, inverse: np.ndarray, x: np.ndarray,
+               C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pivot every cost from one basis, its inverse and solution x; for
+        each cost whether it stopped at a basis whose updated reduced costs
+        keep their signs, and its final basis and columns."""
+        k, (m, n) = len(C), self.A.shape
+        stopped = np.zeros(k, dtype=bool)
+        bases, xs = np.empty((k, m), dtype=basis.dtype), np.empty((k, n))
+        # the working state of the costs still pivoting, original indices in act
+        act, B_inv = np.arange(k), np.repeat(inverse[None], k, axis=0)
+        basis, x = np.repeat(basis[None], k, axis=0), np.repeat(x[None], k, axis=0)
+        is_basic = np.zeros((k, n), dtype=bool)
+        is_basic[:, basis[0]] = True
+        for pivots in range(PASS_PIVOTS + 1):
+            y = np.einsum("ki,kij->kj", np.take_along_axis(C, basis, axis=1), B_inv)
+            d = C - y @ self.A
+            at_lb = x == self.lb
+            gain = np.where(self.movable & ~is_basic, np.where(at_lb, -d, d), 0.0)
+            q = gain.argmax(axis=1)
+            done = np.take_along_axis(gain, q[:, None], axis=1)[:, 0] <= 0.0
+            stopped[act[done]] = True
+            bases[act[done]], xs[act[done]] = basis[done], x[done]
+            if done.all() or pivots == PASS_PIVOTS:
+                break
+            if done.any():
+                keep = ~done
+                act, B_inv, basis, x, is_basic, C, q, at_lb = (
+                    act[keep], B_inv[keep], basis[keep], x[keep], is_basic[keep], C[keep],
+                    q[keep], at_lb[keep])
+            # the ratio test: x[q] moves by t in its improving direction and
+            # the basic columns by t * delta, until one of them reaches a
+            # bound (it leaves the basis) or x[q] its other bound (a flip)
+            rows = np.arange(len(act))
+            up = at_lb[rows, q]
+            w = np.einsum("kij,jk->ki", B_inv, self.A[:, q])
+            delta = np.where(up, -1.0, 1.0)[:, None] * w
+            x_basic = np.take_along_axis(x, basis, axis=1)
+            room = np.maximum(np.where(delta < 0, x_basic - self.lb[basis],
+                                       self.ub[basis] - x_basic), 0.0)
+            steps = np.full(delta.shape, np.inf)
+            np.divide(room, np.abs(delta), out=steps, where=np.abs(delta) > _PIVOT_TOL)
+            r = steps.argmin(axis=1)
+            t = steps[rows, r]
+            span = self.ub[q] - self.lb[q]
+            flip = span <= t
+            t = np.where(flip, span, t)
+            np.put_along_axis(x, basis, x_basic + t[:, None] * delta, axis=1)
+            x[rows, q] = np.where(up, self.lb[q] + t, self.ub[q] - t)
+            x[rows[flip], q[flip]] = np.where(up, self.ub[q], self.lb[q])[flip]
+            p = rows[~flip]
+            leaving = basis[p, r[p]]
+            x[p, leaving] = np.where(delta[p, r[p]] < 0, self.lb[leaving], self.ub[leaving])
+            is_basic[p, leaving], is_basic[p, q[p]] = False, True
+            basis[p, r[p]] = q[p]
+            # product-form update of each inverse; a flip's is the identity
+            w[flip] = 0.0
+            pivot_row = B_inv[rows, r] / np.where(flip, 1.0, w[rows, r])[:, None]
+            B_inv -= w[:, :, None] * pivot_row[:, None, :]
+            B_inv[rows, r] = pivot_row
+        return stopped, bases, xs
+
+    def _check(self, basis: np.ndarray, x: np.ndarray,
+               C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each cost, does a fresh solve with its basis, its nonbasic
+        columns at their values in x, hold every row and bound within the
+        session's primal tolerance and keep the reduced costs' signs?  And
+        its columns over the n structural variables, clipped to their bounds."""
+        k = len(C)
+        nonbasic = np.ones(x.shape, dtype=bool)
+        np.put_along_axis(nonbasic, basis, False, axis=1)
+        B = np.swapaxes(self.A.T[basis], 1, 2)  # (k, m, m): B[i] = A[:, basis[i]]
+        rhs = self.b - np.where(nonbasic, x, 0.0) @ self.A.T
+        c_basic = np.take_along_axis(C, basis, axis=1)
+        try:
+            x_basic = np.linalg.solve(B, rhs[:, :, None])[:, :, 0]
+            y = np.linalg.solve(np.swapaxes(B, 1, 2), c_basic[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular basis in the chunk
+            return np.zeros(k, dtype=bool), np.empty((k, self.n))
+        lb, ub = self.lb[basis], self.ub[basis]
+        ok = ((x_basic >= lb - _PRIMAL_TOL) & (x_basic <= ub + _PRIMAL_TOL)).all(axis=1)
+        x = x.copy()
+        np.put_along_axis(x, basis, x_basic, axis=1)
+        cols = np.clip(x[:, :self.n], self.lb[:self.n], self.ub[:self.n])
+        ok &= (np.abs(cols @ self.A[:, :self.n].T - self.b) <= _PRIMAL_TOL).all(axis=1)
+        d = C - y @ self.A
+        tested = self.movable & nonbasic
+        ok &= _keeps_signs(np.where(tested, d, 0.0), x == self.lb, x == self.ub)
+        return ok, cols

@@ -12,7 +12,8 @@ from hzreach import (FEAS_TOL, ComplexityRecord, EmptySetError, HybridZonotope,
 import hzreach.lp as lp_mod
 from hzreach.lp import LpSession
 from hzreach.relu import relu_layer_output
-from hzreach.sets import FiberLp
+import hzreach.sets as sets_mod
+from hzreach.sets import PASS_MIN, FiberLp
 
 from hzreach.projection import emit_projection
 
@@ -535,12 +536,15 @@ def test_immutability():
 def test_stalled_primal_resolve_is_redone_by_dual():
     # a random set (conftest.random_hz) on which a primal warm re-solve of a
     # fiber LP ends with HiGHS model status "Unknown": the session must redo
-    # it by dual simplex instead of failing the query
+    # it by dual simplex instead of failing the query.  Its four leaves split
+    # even 2 * PASS_MIN draws into batches too small for the simplex pass,
+    # so HiGHS answers every draw
     Z = HybridZonotope.load(DATA / "stalled_primal.json")
     polys = emit_projection(Z, (0, 1), 3)
     assert [len(p) for p in polys] == [len(p) for p in emit_projection(Z, (0, 1), 16)]
-    for p in Z.sample_points(40, 0):
-        assert member_within(Z, p, 1e-9)
+    for samples in (40, 2 * PASS_MIN):
+        for p in Z.sample_points(samples, 0):
+            assert member_within(Z, p, 1e-9)
 
 
 # -- fiber point batches and their basis certificates ------------------------
@@ -563,8 +567,12 @@ def _fiber_reference(Z: HybridZonotope, xb: np.ndarray, cost: np.ndarray) -> flo
        n_g=st.integers(2, 5), n_b=st.integers(0, 2), n_c=st.integers(1, 3),
        side=st.sampled_from([-1.0, 1.0]), delta=st.floats(0.0, FEAS_TOL / 2))
 def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, side, delta):
-    # every cost of a batch, answered by an LP or by a basis certificate, gets
-    # the one-shot LP's objective and a point of the set
+    # every cost of a batch, answered by an LP, by a basis certificate or by
+    # the simplex pass, gets the one-shot LP's objective and a point of the
+    # set.  These small fibers have so few vertices that certification never
+    # stops, so batches of 2 * PASS_MIN costs then certify nothing: the pass
+    # takes every cost after the first LP, on the FEAS_TOL session for a
+    # grazed fiber
     rng = np.random.default_rng(seed)
     if source == "flat":
         Z = HybridZonotope.load(DATA / "flat_fibers.json")
@@ -576,14 +584,29 @@ def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, si
     if not leaves:
         return
     fibers = FiberLp(Z)
-    k = 6 if source == "flat" else 20
-    for i in rng.permutation(len(leaves))[:3]:
-        xb = leaves[i]
-        costs = rng.standard_normal((k, Z.n_g))
-        costs[k // 2:] = costs[:k - k // 2] * rng.uniform(0.5, 2.0, size=(k - k // 2, 1))
-        for cost, xc in zip(costs, fibers.minimizers(xb, costs)):
-            assert cost @ xc == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
-            assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c)
+    picked = [leaves[i] for i in rng.permutation(len(leaves))[:3]]
+
+    def check_batches(k):
+        for xb in picked:
+            costs = rng.standard_normal((k, Z.n_g))
+            costs[k // 2:] = costs[:k - k // 2] * rng.uniform(0.5, 2.0, size=(k - k // 2, 1))
+            for cost, xc in zip(costs, fibers.minimizers(xb, costs)):
+                assert cost @ xc == pytest.approx(_fiber_reference(Z, xb, cost), abs=1e-9)
+                assert Z.contains_point(Z.Gc @ xc + Z.Gb @ xb + Z.c)
+
+    check_batches(6 if source == "flat" else 20)
+    answered = []
+    pivoted = fibers._pivoted
+
+    def counted(*args):
+        done, x = pivoted(*args)
+        answered.append(done.sum())
+        return done, x
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibers, "_certified", lambda slack, x, costs: np.zeros(len(costs), bool))
+        mp.setattr(fibers, "_pivoted", counted)
+        check_batches(2 * PASS_MIN)
+    assert len(answered) == len(picked) and sum(answered) > 0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -644,6 +667,42 @@ def test_sampling_pays_one_lp_per_optimal_basis(monkeypatch):
         assert Z.contains_point(p)
 
 
+def _unpivoted(duplicate: bool):
+    """A simplex pass that claims every cost stopped at the start basis,
+    with its first column twice (a singular basis) if ``duplicate``."""
+    def pivot(self, basis, inverse, x, C):
+        bases = np.repeat(basis[None], len(C), axis=0)
+        if duplicate:
+            bases[:, 1] = bases[:, 0]
+        return np.ones(len(C), dtype=bool), bases, np.repeat(x[None], len(C), axis=0)
+    return pivot
+
+
+@pytest.mark.parametrize("variant", ["pass", "one-pivot", "unpivoted", "singular"])
+def test_many_vertex_fiber_pivots_its_draws_in_one_pass(monkeypatch, variant):
+    # the binary-free FRS_2 of the tight-relaxed bench workload: its 500
+    # draws reach hundreds of vertices, so the first LP's basis certifies
+    # none of the rest and the simplex pass answers them from that basis.
+    # HiGHS answers what the pass leaves: costs still pivoting at a cap of
+    # one pivot, and bases that fail the fresh check, as the start basis
+    # does for nearly every cost and a singular basis for all of them.
+    # Either way each point is the one-shot LP's of its draw
+    Z = HybridZonotope.load(DATA / "many_vertex_fiber.json")
+    assert (Z.n_b, Z.n_c, Z.n_g) == (0, 14, 24)
+    if variant == "one-pivot":
+        monkeypatch.setattr(sets_mod, "PASS_PIVOTS", 1)
+    elif variant != "pass":
+        monkeypatch.setattr(sets_mod._BoundedSimplex, "_pivot",
+                            _unpivoted(variant == "singular"))
+    solves = _count_solves(monkeypatch)
+    pts = Z.sample_points(500, 1)
+    assert len(solves) <= 20 if variant == "pass" else len(solves) >= 400
+    ones = np.ones(Z.n_g)
+    for cost, p in zip(np.random.default_rng(1).standard_normal((500, Z.n_g)), pts):
+        res = lp_solve(LpProblem(cost, Z.Ac, Z.b, -ones, ones))
+        assert np.max(np.abs(Z.Gc @ res.x + Z.c - p)) <= 1e-9
+
+
 def test_fiber_feasible_only_within_tolerance_pays_one_exact_lp_per_batch(monkeypatch):
     Z = HybridZonotope(Gc=np.eye(2), c=[0.0, 0.0], Ac=[[1.0, 0.0]], b=[1 + 5e-8])
     (xb,) = Z.feasible_binary_assignments()
@@ -661,16 +720,19 @@ def test_fiber_feasible_only_within_tolerance_pays_one_exact_lp_per_batch(monkey
 
 def test_fiber_points_with_an_all_zero_row(monkeypatch):
     # the rows have no nonzero, so HiGHS solves without a factorization and
-    # has no basis to read (asking for it crashes): every cost is solved
+    # has no basis to read (asking for it crashes): every cost is solved,
+    # also in a batch large enough for the simplex pass, which needs a basis
     rng = np.random.default_rng(11)
     G = rng.normal(size=(2, 12))
     c = rng.normal(size=2)
     Z = HybridZonotope(Gc=G, c=c, Ac=np.zeros((1, 12)), b=np.zeros(1))
-    costs = rng.standard_normal((8, 12))
     solves = _count_solves(monkeypatch)
-    pts = Z._points(np.zeros(0), costs, FiberLp(Z))
-    assert len(solves) == 8
-    assert np.max(np.abs(pts - (-np.sign(costs) @ G.T + c))) <= 1e-12
+    for k in (8, 2 * PASS_MIN):
+        costs = rng.standard_normal((k, 12))
+        solves.clear()
+        pts = Z._points(np.zeros(0), costs, FiberLp(Z))
+        assert len(solves) == k
+        assert np.max(np.abs(pts - (-np.sign(costs) @ G.T + c))) <= 1e-12
 
 
 def _regenerated(rng, Z: HybridZonotope, dim: int) -> HybridZonotope:
