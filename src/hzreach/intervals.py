@@ -19,9 +19,9 @@ class IntervalVector:
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
         if lo.size != hi.size:
             raise ValueError("lower and upper must have the same length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("interval bounds must be finite")
-        if (lo > hi).any():
+        if not (np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all():  # one reduction
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise ValueError("interval bounds must be finite")
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)

@@ -275,9 +275,12 @@ def milp_solve(p: MilpProblem) -> SolveResult:
 
 
 def pinned_bounds(p: MilpProblem, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column bounds of ``p`` with its binaries fixed to the values ``xb``."""
+    """Column bounds of ``p`` with its binaries fixed to the values ``xb``;
+    an entry 0 leaves its binary free."""
     lb, ub = p.lp.lb.copy(), p.lp.ub.copy()
-    lb[list(p.binary_index)] = ub[list(p.binary_index)] = xb
+    pinned = xb != 0
+    columns = np.asarray(p.binary_index, dtype=int)[pinned]
+    lb[columns] = ub[columns] = xb[pinned]
     return lb, ub
 
 
@@ -293,9 +296,10 @@ def enumerate_binary_leaves(p: MilpProblem,
     child inherits its parent's LP solution as a witness when that solution
     already takes the child's pinned value exactly; such a child, a leaf
     included, is feasible without an LP of its own.  The objective of ``p``
-    is ignored.  Given ``candidates``, complete assignments known to include
-    every feasible one, the search starts from them instead of the root:
-    one pinned LP each.
+    is ignored.  Given ``candidates``, disjoint partial assignments (0 marks
+    a free binary) whose completions include every feasible assignment, the
+    search starts below each of them instead of at the root: a complete
+    candidate costs one pinned LP.
 
     Raises:
         LeafLimitError: once more than ``LEAF_LIMIT`` leaves are found.

@@ -110,6 +110,28 @@ class ClosedLoopRnn:
     def zero_hidden(self) -> list[np.ndarray]:
         return [np.zeros(layer.width) for layer in self.layers]
 
+    def unroll(self, x, steps: int, affine, relu, hidden=None):
+        """The closed-loop recursion over values of any kind (states,
+        intervals, linear bounds, sets), one step at a time: yields
+        (t, x_{t+1}, hidden) for t = 1..steps, where hidden holds h_t^(l)
+        per layer.
+
+        ``affine(inp, Wx, v, h, Wh)`` is Wx @ inp + Wh @ h + v, with h None
+        where no recurrent term enters: the output layer, and every layer at
+        step 1 unless ``hidden`` gives the hidden states to start from (by
+        default they start at zero).  ``relu(pre, t, layer)`` activates
+        stage (t, layer); the output stage is layer L+1.
+        """
+        for t in range(1, steps + 1):
+            inp, new = x, []
+            for k, layer in enumerate(self.layers):
+                h = None if hidden is None else hidden[k]
+                inp = relu(affine(inp, layer.Wx, layer.vh, h, layer.Wh), t, k + 1)
+                new.append(inp)
+            x = relu(affine(inp, self.Wy, self.vy, None, None), t, self.num_layers + 1)
+            hidden = new
+            yield t, x, hidden
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -135,6 +157,14 @@ class Trajectory:
         return self.hidden[t - 1][layer - 1]
 
 
+def _affine(inp, Wx, v, h, Wh):
+    return Wx @ inp + v if h is None else Wh @ h + Wx @ inp + v
+
+
+def _activate(pre, t, layer):
+    return _relu(pre)
+
+
 def step(m: ClosedLoopRnn, x: np.ndarray, hidden: list[np.ndarray]):
     """One closed-loop step: layers 1..L in order, then the ReLU output.
 
@@ -146,13 +176,7 @@ def step(m: ClosedLoopRnn, x: np.ndarray, hidden: list[np.ndarray]):
         raise ValueError(f"state has length {x.size}, expected {m.state_dim}")
     if len(hidden) != m.num_layers:
         raise ValueError("hidden state list length must equal the layer count")
-    new_hidden = []
-    inp = x
-    for layer, h_prev in zip(m.layers, hidden):
-        h = _relu(layer.Wh @ h_prev + layer.Wx @ inp + layer.vh)
-        new_hidden.append(h)
-        inp = h
-    next_state = _relu(m.Wy @ inp + m.vy)
+    _, next_state, new_hidden = next(m.unroll(x, 1, _affine, _activate, hidden))
     return next_state, new_hidden
 
 
@@ -161,12 +185,12 @@ def simulate(m: ClosedLoopRnn, x1: np.ndarray, T: int) -> Trajectory:
     if T < 1:
         raise ValueError("horizon must be at least 1")
     x = np.asarray(x1, dtype=float).reshape(-1)
+    if x.size != m.state_dim:
+        raise ValueError(f"state has length {x.size}, expected {m.state_dim}")
     states = [x]
     hidden_snapshots = []
-    hidden = m.zero_hidden()
-    for _ in range(T - 1):
-        x, hidden = step(m, x, hidden)
-        hidden_snapshots.append(tuple(h.copy() for h in hidden))
+    for _, x, hidden in m.unroll(x, T - 1, _affine, _activate):
+        hidden_snapshots.append(tuple(hidden))
         states.append(x)
     return Trajectory(np.array(states), tuple(hidden_snapshots))
 

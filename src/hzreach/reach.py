@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsTable
+from .bounds import BoundsTable, SymbolicBounds, symbolic_bounds
 from .errors import EmptyDomainError
 from .intervals import IntervalVector
 from .model import ClosedLoopRnn
@@ -113,7 +113,9 @@ class ReachSeries:
     build their set anew on every call.  On a series built over the initial
     set itself every BRS_t lies in that set, so both safety conditions test
     the same sets: ``verify`` then runs the forward route alone, and the
-    backward route only after an Unknown forward verdict.
+    backward route only after an Unknown forward verdict.  ``symbolic``
+    holds the enclosures of the symbolic pass over the plan
+    (``symbolic_bounds``), from which ``verify`` rules out steps.
     """
 
     model: ClosedLoopRnn
@@ -121,6 +123,7 @@ class ReachSeries:
     pairs: dict
     plan: RelaxationPlan
     hull_mode: str
+    symbolic: SymbolicBounds
 
     @property
     def horizon(self) -> int:
@@ -143,20 +146,18 @@ class ReachSeries:
         }
 
 
-def _stage(Z: HybridZonotope, t: int, layer: int, plan: RelaxationPlan,
-           hull_mode: str, scope: dict) -> HybridZonotope:
-    """One ReLU stage of the pipeline: its output set.
+def _stage_interval(Z: HybridZonotope, iv: IntervalVector, hull_mode: str,
+                    scope: dict) -> IntervalVector:
+    """The intervals a ReLU stage over Z encodes, given its table's ``iv``.
 
-    The units take the plan's relaxed mask.  In ``exact`` mode only the
-    units whose table interval is unstable get LP bounds: the exact hull of
-    their coordinates (``interval_hull``, their min and max), its LPs warm
-    in ``scope``, where every stage set on the same rows finds the same
-    FiberLp.  Every other unit keeps its table interval:
-    ``relu_layer_output`` reads a stable unit only for its sign class, and
-    the exact hull lies inside the table's sound enclosure, so it could not
-    change that class.
+    In ``exact`` mode only the units whose table interval is unstable get
+    LP bounds: the exact hull of their coordinates (``interval_hull``, their
+    min and max), its LPs warm in ``scope``, where every stage set on the
+    same rows finds the same FiberLp.  Every other unit keeps its table
+    interval: ``relu_layer_output`` reads a stable unit only for its sign
+    class, and the exact hull lies inside the table's sound enclosure, so it
+    could not change that class.
     """
-    iv = plan.table.stages[(t, layer)]
     if hull_mode == "exact":
         unstable = np.flatnonzero(iv.straddles_zero())
         if unstable.size:
@@ -166,7 +167,7 @@ def _stage(Z: HybridZonotope, t: int, layer: int, plan: RelaxationPlan,
             iv = IntervalVector(lower, upper)
     elif hull_mode != "table":
         raise ValueError(f"unknown hull mode: {hull_mode!r}")
-    return relu_layer_output(Z, iv, plan.relaxed(t, layer))
+    return iv
 
 
 def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, plan: RelaxationPlan,
@@ -176,16 +177,23 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, plan: RelaxationPlan,
 
     Step 1 maps the domain through each layer directly (all initial hidden
     states are zero); later steps couple h_{t-1}^(l) with h_t^(l-1) through a
-    constrained product before the layer's linear map.  ReLU stages use the
-    plan's relaxed masks with intervals from its bounds table
-    (``hull_mode="table"``, the default, which solves no LP) or, for the
-    units the table leaves unstable, from the stage set's exact interval hull
-    ("exact", ``_stage``); the table must then enclose every stage set, as
-    ``propagate_intervals`` over a hull of X does.  A ReLU stage that adds no
-    unstable unit leaves the next stage set on the same rows, which then
+    constrained product before the layer's linear map
+    (``ClosedLoopRnn.unroll``).  ReLU stages use the plan's relaxed masks
+    with intervals from its bounds table (``hull_mode="table"``, the
+    default, which solves no LP) or, for the units the table leaves
+    unstable, from the stage set's exact interval hull ("exact",
+    ``_stage_interval``); the table must then enclose every stage set, as
+    ``propagate_intervals`` over a hull of X does.  A ReLU stage that adds
+    no unstable unit leaves the next stage set on the same rows, which then
     shares their leaves and, through one scope for the whole call, their
     FiberLp: its LPs start warm.  Those sessions live only inside this call.
     Every constrained product's prefix condition is asserted, not assumed.
+
+    The symbolic pass (``symbolic_bounds``) runs once, over the generator
+    hull of X, and the series keeps its enclosures.  The binaries of the
+    exact units it proves stable go with the rows of each stage set that
+    adds units, as a partial candidate: a leaf search on those rows, or on
+    rows that ``generalized_intersect`` builds on them, pins them.
 
     Raises:
         EmptyDomainError: if X is empty.
@@ -194,27 +202,29 @@ def state_pairs(m: ClosedLoopRnn, X: HybridZonotope, plan: RelaxationPlan,
         raise ValueError("domain dimension must equal the model state dimension")
     if X.is_empty():
         raise EmptyDomainError("state domain is empty")
-    pairs: dict = {}
-    prev_hidden: list[HybridZonotope] = []
-    state_set = X
+    symbolic = symbolic_bounds(m, X.interval_hull("generator_relaxed"), plan)
     scope: dict = {}  # the FiberLp of each row system, for the stage hulls
-    for t in range(1, plan.table.horizon):
-        new_hidden = []
-        inp = state_set
-        for layer_no, layer in enumerate(m.layers, start=1):
-            if t == 1:
-                Z = inp.affine_map(layer.Wx, layer.vh)
-            else:
-                pair = prev_hidden[layer_no - 1].constrained_product(inp)
-                Z = pair.affine_map(np.hstack([layer.Wh, layer.Wx]), layer.vh)
-            out = _stage(Z, t, layer_no, plan, hull_mode, scope)
-            new_hidden.append(out)
-            inp = out
-        Zy = inp.affine_map(m.Wy, m.vy)
-        state_set = _stage(Zy, t, m.num_layers + 1, plan, hull_mode, scope)
-        pairs[t + 1] = X.constrained_product(state_set)
-        prev_hidden = new_hidden
-    return ReachSeries(m, X, pairs, plan, hull_mode)
+    pins = [np.zeros(X.n_b)]  # the binaries built so far, X's free
+
+    def affine(inp, Wx, v, h, Wh):
+        if h is None:
+            return inp.affine_map(Wx, v)
+        return h.constrained_product(inp).affine_map(np.hstack([Wh, Wx]), v)
+
+    def relu(Z, t, layer):
+        iv = _stage_interval(Z, plan.table.stages[(t, layer)], hull_mode, scope)
+        relaxed = plan.relaxed(t, layer)
+        out = relu_layer_output(Z, iv, relaxed)
+        pins.append(symbolic.pins(t, layer)[iv.straddles_zero() & ~relaxed])
+        if out._rows is not Z._rows:
+            candidate = np.concatenate(pins)
+            if candidate.any():
+                out._rows.candidates = (candidate,)
+        return out
+
+    pairs = {t + 1: X.constrained_product(state)
+             for t, state, _ in m.unroll(X, plan.table.horizon - 1, affine, relu)}
+    return ReachSeries(m, X, pairs, plan, hull_mode, symbolic)
 
 
 def _pin(series: ReachSeries, S: HybridZonotope, t: int, block: int) -> HybridZonotope:

@@ -103,9 +103,10 @@ def _coupled(y_rows: np.ndarray, z_rows: np.ndarray, y_gens: np.ndarray,
 
 class _Rows:
     """One constraint system Ac @ xc + Ab @ xb = b and what is known of it:
-    its cached leaves, and the candidate leaves ``generalized_intersect``
-    recorded (cached leaves of another set that include all of its leaves).
-    Every set built on these rows unchanged shares this record
+    its cached leaves, and candidates: disjoint partial assignments of its
+    binaries (0 = free) whose completions include all of its leaves, as
+    ``generalized_intersect`` and ``state_pairs`` record them.  Every set
+    built on these rows unchanged shares this record
     (``HybridZonotope._on_rows``)."""
 
     __slots__ = ("Ac", "Ab", "b", "leaves", "candidates")
@@ -260,10 +261,13 @@ class HybridZonotope:
         coupling rows; factors of the second operand come first.  This
         ordering is what keeps later constrained products well defined.
 
-        When ``other`` has no binaries, the result's binaries are this set's,
-        in order, and its rows include this set's, so each of its leaves is
-        one of this set's; when those are cached, the result's leaf
-        enumeration tests only them (its record's candidates).
+        The result's binaries are the other operand's, then this set's, in
+        order, and its rows include this set's, so each of its leaves
+        extends one of this set's on them.  When those are cached, or this
+        set's record has candidates (``state_pairs`` records the binaries
+        its symbolic pass pins), the result's record takes them as its
+        candidates, with the other operand's binaries free: its leaf
+        enumeration searches only below them.
         """
         if R is None:
             R = np.eye(self.dim)
@@ -279,8 +283,10 @@ class HybridZonotope:
         Ab = _coupled(y.Ab, z.Ab, y.Gb, R @ z.Gb)
         b = np.concatenate([y.b, z.b, y.c - R @ z.c])
         out = HybridZonotope(Gc, Gb, z.c, Ac, Ab, b)
-        if y.n_b == 0:
-            out._rows.candidates = z._rows.leaves
+        known = z._rows.candidates if z._rows.leaves is None else z._rows.leaves
+        if known is not None and y.n_b:
+            known = tuple(np.concatenate([np.zeros(y.n_b), xb]) for xb in known)
+        out._rows.candidates = known
         return out
 
     def cartesian_product(self, other: "HybridZonotope") -> "HybridZonotope":
@@ -432,8 +438,7 @@ class HybridZonotope:
 
         The enumeration runs once per row system; later calls, by this set
         or any other on the same rows, return the cached, read-only
-        assignments.  A set from ``generalized_intersect`` with a binary-free
-        operand tests only the cached leaves of the other one.
+        assignments.  A record with candidates searches only below them.
 
         Raises:
             LeafLimitError: if the set has more than ``hzreach.lp.LEAF_LIMIT``

@@ -4,9 +4,11 @@ Safety over a horizon reduces to emptiness of per-step intersections: the
 system is safe if every forward reachable set misses the unsafe region, or
 equivalently if every backward reachable set of the unsafe region misses the
 initial set.  Both conditions are sufficient; with all-exact plans they are
-also necessary.  A non-empty intersection is confirmed by simulating sampled
-candidate initial states, which splits "not verified safe" into Unsafe (a
-concrete counterexample exists) and Unknown (relaxation artifact).
+also necessary.  A step whose state enclosure (``ReachSeries.symbolic``)
+the unsafe set's generator hull misses is empty without a set or an LP.  A
+non-empty intersection is confirmed by simulating sampled candidate initial
+states, which splits "not verified safe" into Unsafe (a concrete
+counterexample exists) and Unknown (relaxation artifact).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .bounds import disjoint
 from .errors import EmptySeedError
 from .model import simulate
 from .reach import ReachSeries, brs, frs
@@ -69,9 +72,10 @@ def _confirm(series: ReachSeries, candidates: np.ndarray, unsafe: HybridZonotope
 
 def _verdict(series, unsafe, candidates: dict, seed):
     """Verdict from the candidate initial states ``candidates[t]`` of each
-    step t: Safe when every set is empty, else Unsafe when a sample of one
-    is confirmed by simulation, else Unknown."""
-    evidence = [(t, Z.is_empty()) for t, Z in candidates.items()]
+    step t, None where the step is ruled out: Safe when every set is empty,
+    else Unsafe when a sample of one is confirmed by simulation, else
+    Unknown."""
+    evidence = [(t, Z is None or Z.is_empty()) for t, Z in candidates.items()]
     witnesses = []
     for t, empty in evidence:
         if empty:
@@ -89,8 +93,23 @@ def _verdict(series, unsafe, candidates: dict, seed):
     return SafetyVerdict(status, tuple(evidence), tuple(witnesses))
 
 
+def _candidates(series: ReachSeries, unsafe: HybridZonotope, build) -> dict:
+    """``build(t)`` for each step 2..T whose state enclosure
+    (``SymbolicBounds.states``) the unsafe set's generator hull does not
+    miss (``disjoint``), None for the others: their step-t BRS is empty,
+    and needs neither a set nor an LP."""
+    hull = unsafe.interval_hull("generator_relaxed")
+    return {t: None if disjoint(series.symbolic.states[t], hull) else build(t)
+            for t in range(2, series.horizon + 1)}
+
+
 def _initial_overlap(X1: HybridZonotope, unsafe: HybridZonotope, seed: int):
-    """Unsafe-at-step-1 verdict when the initial set already meets the unsafe set."""
+    """Unsafe-at-step-1 verdict when the initial set already meets the
+    unsafe set; none, without an LP, when their generator hulls are apart
+    (``disjoint``)."""
+    if disjoint(X1.interval_hull("generator_relaxed"),
+                unsafe.interval_hull("generator_relaxed")):
+        return None
     overlap = X1.generalized_intersect(unsafe)
     if overlap.is_empty():
         return None
@@ -114,7 +133,7 @@ def verify_forward(series: ReachSeries, unsafe: HybridZonotope,
     early = _initial_overlap(series.domain, unsafe, seed)
     if early is not None:
         return early
-    candidates = {t: brs(series, unsafe, t) for t in range(2, series.horizon + 1)}
+    candidates = _candidates(series, unsafe, lambda t: brs(series, unsafe, t))
     return _verdict(series, unsafe, candidates, seed)
 
 
@@ -133,8 +152,8 @@ def verify_backward(series: ReachSeries, unsafe: HybridZonotope,
     early = _initial_overlap(X1, unsafe, seed)
     if early is not None:
         return early
-    candidates = {t: brs(series, unsafe, t).generalized_intersect(X1)
-                  for t in range(2, series.horizon + 1)}
+    candidates = _candidates(series, unsafe,
+                             lambda t: brs(series, unsafe, t).generalized_intersect(X1))
     return _verdict(series, unsafe, candidates, seed)
 
 

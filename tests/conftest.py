@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hzreach import (ClosedLoopRnn, HybridZonotope, LpProblem, RnnLayer,
+from hzreach import (FEAS_TOL, ClosedLoopRnn, HybridZonotope, LpProblem, RnnLayer,
                      SolveStatus, lp_solve)
+from hzreach.bounds import ENCLOSURE_MARGIN
 from hzreach.lp import LpSession, enumerate_binary_leaves, pinned_bounds
 from hzreach.relu import relu_layer_output
-from hzreach.systems import gate_system, half_system
+from hzreach.systems import demo_system, gate_system, half_system
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -100,6 +101,34 @@ def random_system(rng, n=None, L=None, max_width=4, gain=0.7):
     lo = rng.uniform(0.0, 0.3, size=n)
     domain = HybridZonotope.from_box(lo, lo + rng.uniform(0.3, 0.8, size=n))
     return model, domain
+
+
+def random_case(rng, system: str):
+    """A model and a box domain: ``random_system``'s, or for "demo" the
+    demo model on a random box in the unit square, where the plain table
+    leaves units unstable that linear bounds in x1 prove stable."""
+    if system == "random":
+        return random_system(rng)
+    lo = rng.uniform(0.0, 0.7, size=2)
+    return demo_system(0), HybridZonotope.from_box(lo, lo + rng.uniform(0.1, 0.3, size=2))
+
+
+# Gaps about the row slack and about the margin of the symbolic pass's
+# decisions: a margin too small for the slack would rule out a box at one of
+# them that the LPs find within the slack.
+GRAZING_GAPS = (-FEAS_TOL, 0.5 * FEAS_TOL, 2 * FEAS_TOL, 0.5 * ENCLOSURE_MARGIN,
+                2 * ENCLOSURE_MARGIN, 10 * ENCLOSURE_MARGIN)
+
+
+def grazing_boxes(S: HybridZonotope) -> list:
+    """Boxes whose least first coordinate lies each of GRAZING_GAPS beyond
+    the largest first coordinate over S, and that span S's other
+    coordinates."""
+    reach = S.interval_hull("generator_relaxed")
+    top = S.support(np.eye(S.dim)[0])
+    return [HybridZonotope.from_box(np.r_[top + gap, reach.lower[1:] - 1.0],
+                                    np.r_[top + gap + 0.1, reach.upper[1:] + 1.0])
+            for gap in GRAZING_GAPS]
 
 
 def grid_points(lo, hi, k):

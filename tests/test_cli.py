@@ -498,12 +498,15 @@ def test_verify_on_domain_equal_to_initial_matches_two_series(tmp_path, system, 
 def test_demo_hit_verify_shares_its_lps(tmp_path, monkeypatch):
     # on the demo box as domain and initial set, a box hit at step 3 costs
     # one series and one route: the forward route's Unsafe verdict is the
-    # verdict, and the backward route would test the same BRS_t.
-    # 27 LPs, where running the backward route on the shared series took 33
+    # verdict, and the backward route would test the same BRS_t.  The
+    # symbolic pass rules out the initial overlap and every step whose state
+    # enclosure the box misses, and pins all 9 binaries of the step-3 BRS:
+    # 6 LPs, where testing every step took 27, and running the backward
+    # route on the shared series too took 33
     solves = _counted(monkeypatch, LpSession, "solve")
     argv = _shared_verify_argv(tmp_path, demo_system(), *demo_initial_box(), _demo_hit_box(), 5)
     assert main(argv) == 2
-    assert len(solves) <= 27
+    assert len(solves) <= 6
 
 
 def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypatch):
@@ -512,9 +515,11 @@ def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypa
     # not, and branching on the most fractional binary prunes near the root
     # where index order pruned only deep in the tree.  With the backward
     # route run too, the leaf searches took 113 LPs, 231 in index order.
-    # The forward Unsafe verdict stops verify at 68 LPs: 60 are the leaf
-    # searches' own, the other 8 witness draws, whose count follows the
-    # draw stream, not the branching
+    # The forward Unsafe verdict stopped verify at 68 LPs, 60 of them the
+    # leaf searches' own.  The symbolic pass rules out the initial overlap
+    # and step 2, and the step-3 search branches only on the binaries it
+    # leaves free: 29 LPs, 21 of them in leaf searches.  The other 8 are
+    # witness draws, whose count follows the draw stream, not the branching
     import hzreach.sets as sets_mod
     solves = _counted(monkeypatch, LpSession, "solve")
     searched = []
@@ -529,8 +534,8 @@ def test_wide_hit_verify_branches_on_most_fractional_binaries(tmp_path, monkeypa
     monkeypatch.setattr(sets_mod, "enumerate_binary_leaves", counted_search)
     argv = _wide_verify_argv(tmp_path, _wide_hit_box())
     assert main(argv) == 2
-    assert sum(searched) <= 60
-    assert len(solves) <= 68
+    assert sum(searched) <= 21
+    assert len(solves) <= 29
 
 
 @pytest.mark.parametrize("kind", ["hit", "far"])

@@ -107,9 +107,15 @@ def test_milp_matches_enumeration_oracle():
         # started from every assignment, the search finds the same leaves
         # in the same order
         every = [np.array(xb) for xb in itertools.product((-1.0, 1.0), repeat=nb)]
-        assert ([xb.tolist() for xb in enumerate_binary_leaves(p, candidates=every)]
-                == [xb.tolist() for xb in enumerate_binary_leaves(p)])
+        leaves = [xb.tolist() for xb in enumerate_binary_leaves(p)]
+        assert [xb.tolist() for xb in enumerate_binary_leaves(p, candidates=every)] == leaves
         assert enumerate_binary_leaves(p, candidates=[]) == []
+        # partial candidates, 0 marking a free binary: every assignment of
+        # the leading k binaries, searched below each
+        k = len(statuses) % (nb + 1)
+        partial = [np.concatenate([xb, np.zeros(nb - k)])
+                   for xb in itertools.product((-1.0, 1.0), repeat=k)]
+        assert [xb.tolist() for xb in enumerate_binary_leaves(p, candidates=partial)] == leaves
         assert res.status is status
         if status is SolveStatus.OPTIMAL:
             assert res.objective == pytest.approx(obj, abs=1e-7)

@@ -13,10 +13,10 @@ import hzreach.reach as reach_mod
 from hzreach.bounds import BoundsTable
 from hzreach.lp import LpSession
 from hzreach.relu import relu_layer_output
-from hzreach.systems import demo_system
+from hzreach.systems import demo_initial_box, demo_system
 
-from conftest import (box, flip_system, grid_points, random_system, stages_by_full_hulls,
-                      unit_directions)
+from conftest import (box, flip_system, grazing_boxes, grid_points, random_case,
+                      random_system, stages_by_full_hulls, unit_directions)
 
 
 def _table_with_intervals(pairs):
@@ -262,6 +262,62 @@ def test_simulation_agrees_with_reach_and_seed_sets_on_random_systems(seed):
     assert leaves
     for x1 in seed_set.sample_points(12, seed % 1000):
         assert target.contains_point(simulate(m, x1, T).states[T - 1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), system=st.sampled_from(["random", "demo"]),
+       share=st.sampled_from([0.5, 1.0]), hull_mode=st.sampled_from(["table", "exact"]))
+def test_pinned_leaf_searches_find_the_root_search_leaves(seed, system, share, hull_mode):
+    # the binaries the symbolic pass proves stable go with the pair sets'
+    # rows, and every FRS, BRS and seed set built on them searches only
+    # below them: it finds the leaves of a search from the root, in the same
+    # order, on a box about a simulated state and on boxes that graze the
+    # pair set within a few FEAS_TOL or ENCLOSURE_MARGIN
+    rng = np.random.default_rng(seed)
+    m, X = random_case(rng, system)
+    n, T = m.state_dim, int(rng.integers(2, 5))
+    tbl = propagate_intervals(m, X.interval_hull("generator_relaxed"), T)
+    plan = rank_unstable(tbl, round(share * len(tbl.unstable_index())))
+    series = state_pairs(m, X, plan, hull_mode)
+    hull = X.interval_hull("exact")
+    span = hull.upper - hull.lower
+    X1 = box(hull.lower + 0.2 * span, hull.lower + 0.7 * span)
+    for t in range(2, T + 1):
+        x_t = simulate(m, rng.uniform(hull.lower, hull.upper), t).states[t - 1]
+        targets = [box(x_t - 0.02, x_t + 0.02)]
+        targets += grazing_boxes(frs(series, X, t))  # searched on rows of its own
+        sets = [frs(series, X1, t)] + [brs(series, U, t) for U in targets]
+        sets.append(sets[1].generalized_intersect(X1))
+        for S in sets:
+            fresh = HybridZonotope(S.Gc, S.Gb, S.c, S.Ac, S.Ab, S.b)
+            assert fresh._rows.candidates is None
+            assert [xb.tolist() for xb in S.feasible_binary_assignments()] == [
+                xb.tolist() for xb in fresh.feasible_binary_assignments()]
+
+
+def test_demo_pair_sets_pin_every_binary(monkeypatch):
+    # the demo box at T=5: the plain table leaves 9 units unstable, and the
+    # symbolic pass proves all 9 stable, so the FRS_5 search is one pinned
+    # LP, where a search from the root takes 21
+    m, X = demo_system(), box(*demo_initial_box())
+    series = state_pairs(m, X, exact_plan(propagate_intervals(m, X.interval_hull(
+        "generator_relaxed"), 5)))
+    pins, = series.pair_set(5)._rows.candidates
+    assert pins.size == 9 and np.all(pins != 0)
+    R = frs(series, X, 5)
+    solves, solve = [], LpSession.solve
+
+    def counted(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpSession, "solve", counted)
+    leaves = R.feasible_binary_assignments()
+    monkeypatch.undo()
+    fresh = HybridZonotope(R.Gc, R.Gb, R.c, R.Ac, R.Ab, R.b)
+    assert [xb.tolist() for xb in leaves] == [pins.tolist()] == [
+        xb.tolist() for xb in fresh.feasible_binary_assignments()]
+    assert len(solves) == 1
 
 
 def test_relaxed_pair_sets_contain_trajectories():

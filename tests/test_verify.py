@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzreach import (EmptySeedError, Safety, exact_plan, propagate_intervals,
+import hzreach.bounds
+from hzreach import (EmptySeedError, Safety, exact_plan, frs, propagate_intervals,
                      rank_unstable, simulate, state_pairs, unsafe_sequences,
                      verify_backward, verify_forward)
+from hzreach.bounds import disjoint
 from hzreach.systems import demo_initial_box, demo_system, gate_system
 
-from conftest import box, random_system, unit_directions
+from conftest import box, grazing_boxes, random_case, random_system, unit_directions
 
 
 def _series(m, X, T, n_b=None):
@@ -197,6 +199,74 @@ def test_routes_agree_on_a_series_over_the_initial_set(seed, case, n_b):
     for t, x1 in fwd.witnesses:
         assert X1.contains_point(x1)
         assert unsafe.contains_point(simulate(series.model, x1, t).states[t - 1])
+
+
+# -- the enclosure check and the pins decide nothing on their own -----------
+
+def _verdict_pairs(m, X, X1, T, n_b, boxes, without_symbolic: bool) -> list:
+    """Both routes' verdicts on each box, as JSON, from series built here;
+    ``without_symbolic`` builds and verifies with ENCLOSURE_MARGIN at
+    infinity, which pins no binary and rules out no step."""
+    with pytest.MonkeyPatch.context() as mp:
+        if without_symbolic:
+            mp.setattr(hzreach.bounds, "ENCLOSURE_MARGIN", np.inf)
+        fwd_series, bwd_series = _series(m, X1, T, n_b), _series(m, X, T, n_b)
+        return [(verify_forward(fwd_series, U).to_json_dict(),
+                 verify_backward(bwd_series, U, X1).to_json_dict()) for U in boxes]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), system=st.sampled_from(["random", "demo"]),
+       share=st.sampled_from([0.0, 0.5, 1.0]))
+def test_enclosure_check_and_pins_leave_verdicts_unchanged(seed, system, share):
+    # with and without the symbolic pass's decisions, both routes give the
+    # same status, evidence and witnesses, Unknown verdicts included: on
+    # boxes about simulated states, far boxes, and boxes that graze the
+    # forward set within a few FEAS_TOL or ENCLOSURE_MARGIN, where a margin
+    # too small for the rows' slack would call a step empty that the LPs
+    # do not
+    rng = np.random.default_rng(seed)
+    m, X = random_case(rng, system)
+    T = int(rng.integers(2, 5))
+    n_b = round(share * len(propagate_intervals(
+        m, X.interval_hull("generator_relaxed"), T).unstable_index()))
+    hull = X.interval_hull("exact")
+    span = hull.upper - hull.lower
+    lo, hi = hull.lower + 0.2 * span, hull.lower + 0.7 * span
+    X1 = box(lo, hi)
+    t = int(rng.integers(2, T + 1))
+    x_t = simulate(m, rng.uniform(lo, hi), t).states[t - 1]
+    boxes = [box(x_t - 0.02, x_t + 0.02), box(x_t + 0.3, x_t + 0.4), box(lo - 0.1, lo)]
+    boxes += grazing_boxes(frs(_series(m, X1, T, n_b), X1, t))
+    assert (_verdict_pairs(m, X, X1, T, n_b, boxes, False)
+            == _verdict_pairs(m, X, X1, T, n_b, boxes, True))
+
+
+@pytest.mark.parametrize("case", ["demo graze", "demo margin", "band margin", "gate"])
+def test_enclosure_check_keeps_grazing_and_unknown_verdicts(case):
+    # the benchmark's grazing box, 5e-8 beyond the demo FRS_5, which only the
+    # rows' FEAS_TOL slack meets, and boxes that only relaxed sets meet,
+    # whose verdicts are Unknown: the same verdicts with and without the
+    # symbolic pass's decisions, which rule out some of their steps
+    if case == "gate":
+        m, X, X1, T, n_b = gate_system(), box([0.0], [1.0]), box([0.8], [1.0]), 2, 0
+        unsafe = box([0.05], [0.08])
+    elif case.startswith("demo"):
+        m, X, T = demo_system(), box(*demo_initial_box()), 5 if case == "demo graze" else 4
+        X1, n_b = X, None if case == "demo graze" else 0
+        unsafe = (box([0.21032977241594486 + 5e-8, -0.02], [0.26, 0.02])
+                  if case == "demo graze" else box([0.30, 0.02], [0.35, 0.06]))
+    else:
+        m, X, X1, T, n_b = demo_system(0), box([0, 0], [1, 1]), box([0, 0.6], [1, 1]), 3, 0
+        unsafe = box([0.4, 0.1], [0.45, 0.15])
+    (fwd, bwd), = _verdict_pairs(m, X, X1, T, n_b, [unsafe], False)
+    assert [(fwd, bwd)] == _verdict_pairs(m, X, X1, T, n_b, [unsafe], True)
+    expected = "unsafe" if case == "demo graze" else "unknown"
+    assert expected in (fwd["status"], bwd["status"])
+    hull = unsafe.interval_hull("generator_relaxed")
+    series = _series(m, X1, T, n_b)
+    assert case == "gate" or any(disjoint(series.symbolic.states[t], hull)
+                                 for t in range(2, T + 1))
 
 
 def test_safe_verdict_backed_by_simulation_smoke(half):
