@@ -45,6 +45,16 @@ def _load_model(args):
     return model
 
 
+def _load_set(path: Path, option: str, model) -> HybridZonotope:
+    """The set of ``option`` at ``path``, checked to lie in the model's
+    state space, so that a wrong dimension is an error before any output."""
+    hz = HybridZonotope.load(path)
+    if hz.dim != model.state_dim:
+        raise ValueError(f"{option} is {hz.dim}-dimensional, but the model's state "
+                         f"is {model.state_dim}-dimensional")
+    return hz
+
+
 def _build_series(model, domain_hz, args):
     tbl = propagate_intervals(model, domain_hz.interval_hull("generator_relaxed"), args.T)
     nb = len(tbl.unstable_index()) if args.nb is None else args.nb
@@ -81,12 +91,13 @@ def _emit_set(args, stem: str, hz: HybridZonotope, seed: int):
     return polygons, points
 
 
-def _reach_run(args, route: str, source: HybridZonotope) -> dict:
-    """Reachable sets of ``source`` for steps 2..T on a series built over the
-    domain: ``route`` "frs" pins the pair sets' first block to the source,
-    "brs" their second.  Writes each set with its figure data, the overlay,
-    the complexity table and the series; returns the sets by step."""
-    series = _build_series(_load_model(args), HybridZonotope.load(args.domain), args)
+def _reach_run(args, model, route: str, source: HybridZonotope) -> dict:
+    """Reachable sets of ``source`` for steps 2..T on a series of ``model``
+    built over the domain: ``route`` "frs" pins the pair sets' first block
+    to the source, "brs" their second.  Writes each set with its figure
+    data, the overlay, the complexity table and the series; returns the sets
+    by step."""
+    series = _build_series(model, _load_set(args.domain, "--domain", model), args)
     args.out.mkdir(parents=True, exist_ok=True)
     reach = frs if route == "frs" else brs
     reached = {}
@@ -114,13 +125,15 @@ def _reach_run(args, route: str, source: HybridZonotope) -> dict:
 
 
 def cmd_forward(args) -> int:
-    _reach_run(args, "frs", HybridZonotope.load(args.initial))
+    model = _load_model(args)
+    _reach_run(args, model, "frs", _load_set(args.initial, "--initial", model))
     return 0
 
 
 def cmd_backward(args) -> int:
-    initial = HybridZonotope.load(args.initial) if args.initial else None
-    reached = _reach_run(args, "brs", HybridZonotope.load(args.target))
+    model = _load_model(args)
+    initial = _load_set(args.initial, "--initial", model) if args.initial else None
+    reached = _reach_run(args, model, "brs", _load_set(args.target, "--target", model))
     if initial is None:
         return 0
     summary = []
@@ -136,9 +149,9 @@ def cmd_backward(args) -> int:
 
 def cmd_verify(args) -> int:
     model = load_model(args.model)
-    domain = HybridZonotope.load(args.domain)
-    initial = HybridZonotope.load(args.initial)
-    unsafe = HybridZonotope.load(args.unsafe)
+    domain = _load_set(args.domain, "--domain", model)
+    initial = _load_set(args.initial, "--initial", model)
+    unsafe = _load_set(args.unsafe, "--unsafe", model)
     args.out.mkdir(parents=True, exist_ok=True)
 
     fwd_series = _build_series(model, initial, args)

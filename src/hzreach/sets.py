@@ -15,10 +15,11 @@ those rows unchanged shares (``affine_map``, ``project``,
 support, exact interval hulls and sampling are answered from that cache:
 support and hull values are the max/min over member points of the leaves'
 fibers, whose factors ``FiberLp`` solves per row system, holding the rows
-exactly in a fiber that allows it.  HiGHS solves each fiber LP; a batch of
-costs over one fiber takes a solved LP's vertex wherever that LP's basis is
-certified optimal, and once bases stop repeating a numpy simplex pass from
-the last basis proposes one basis per open cost, whose answer is kept only
+exactly in a fiber that allows it.  HiGHS solves each fiber LP, and one
+basis object per pinned fiber gives a batch of costs the two answers of a
+solved LP's basis: the certificate, under which a cost takes that LP's
+vertex, and, once bases stop repeating, a numpy simplex pass from that
+basis, which proposes one basis per open cost and keeps its answer only
 with the same certificate.  A set without binaries has one fiber,
 which support and hulls solve without a leaf search.  Membership of a point
 is emptiness of the set's intersection with the point, at the same
@@ -88,6 +89,23 @@ def _matrix(M, rows: int | None, cols: int | None, name: str) -> np.ndarray:
     return M
 
 
+def _generators(Gc, Gb, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the generator blocks of a set, shapes checked: c a nonempty
+    vector, Gc and Gb matrices with one row per coordinate."""
+    c = np.array(c, dtype=float).reshape(-1)
+    if c.size == 0:
+        raise ValueError("center must have at least one coordinate")
+    return _matrix(Gc, c.size, None, "Gc"), _matrix(Gb, c.size, None, "Gb"), c
+
+
+def _freeze(**blocks: np.ndarray) -> None:
+    """Check each block for non-finite entries, in order, and make it read-only."""
+    for name, arr in blocks.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        arr.setflags(write=False)
+
+
 def _coupled(y_rows: np.ndarray, z_rows: np.ndarray, y_gens: np.ndarray,
              z_gens: np.ndarray) -> np.ndarray:
     """The block matrix [[y_rows, 0], [0, z_rows], [-y_gens, z_gens]], its
@@ -149,26 +167,18 @@ class HybridZonotope:
     __slots__ = ("Gc", "Gb", "c", "Ac", "Ab", "b", "_rows")
 
     def __init__(self, Gc=None, Gb=None, c=None, Ac=None, Ab=None, b=None):
-        c = np.array(c, dtype=float).reshape(-1)
-        if c.size == 0:
-            raise ValueError("center must have at least one coordinate")
-        n = c.size
-        Gc = _matrix(Gc, n, None, "Gc")
-        Gb = _matrix(Gb, n, None, "Gb")
+        Gc, Gb, c = _generators(Gc, Gb, c)
         b = np.zeros(0) if b is None else np.array(b, dtype=float).reshape(-1)
         Ac = _matrix(Ac, b.size, Gc.shape[1], "Ac")
         Ab = _matrix(Ab, b.size, Gb.shape[1], "Ab")
-        for name, arr in (("Gc", Gc), ("Gb", Gb), ("c", c), ("Ac", Ac), ("Ab", Ab), ("b", b)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-        object.__setattr__(self, "Gc", Gc)
-        object.__setattr__(self, "Gb", Gb)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "Ac", Ac)
-        object.__setattr__(self, "Ab", Ab)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_rows", _Rows(Ac, Ab, b))
+        _freeze(Gc=Gc, Gb=Gb, c=c, Ac=Ac, Ab=Ab, b=b)
+        self._attach(Gc, Gb, c, _Rows(Ac, Ab, b))
+
+    def _attach(self, Gc: np.ndarray, Gb: np.ndarray, c: np.ndarray, rows: _Rows) -> None:
+        """Set the frozen generator blocks and the row record with its blocks."""
+        for name, value in (("Gc", Gc), ("Gb", Gb), ("c", c), ("Ac", rows.Ac),
+                            ("Ab", rows.Ab), ("b", rows.b), ("_rows", rows)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HybridZonotope is immutable")
@@ -219,13 +229,16 @@ class HybridZonotope:
     def _on_rows(cls, Gc, Gb, c, rows: "HybridZonotope") -> "HybridZonotope":
         """The set of generator map (Gc, Gb, c) on the rows of ``rows``,
         sharing their arrays and their record; Gc and Gb must have the rows'
-        factor counts (else ValueError)."""
-        out = cls(Gc, Gb, c)
-        if (out.n_g, out.n_b) != (rows.n_g, rows.n_b):
-            raise ValueError(f"{out!r} cannot take the rows of {rows!r}: "
+        factor counts (else ValueError).  Only the generator blocks are
+        validated and frozen, as the constructor does; the rows already are."""
+        Gc, Gb, c = _generators(Gc, Gb, c)
+        _freeze(Gc=Gc, Gb=Gb, c=c)
+        if (Gc.shape[1], Gb.shape[1]) != (rows.n_g, rows.n_b):
+            raise ValueError(f"generators of {Gc.shape[1]} continuous and {Gb.shape[1]} "
+                             f"binary factors cannot take the rows of {rows!r}: "
                              "their factor counts differ")
-        for name in ("Ac", "Ab", "b", "_rows"):
-            object.__setattr__(out, name, getattr(rows, name))
+        out = object.__new__(cls)
+        out._attach(Gc, Gb, c, rows._rows)
         return out
 
     # -- affine operations ---------------------------------------------
@@ -557,36 +570,32 @@ class FiberLp:
     fiber does.  The session with the FEAS_TOL residual columns is built only
     for rows with a fiber that needs it.  A batch of costs over one fiber
     (``minimizers``) pays one LP per distinct optimal basis while bases
-    repeat; once they stop repeating, one vectorized simplex pass from the
-    last LP's basis answers the batch's open costs, and HiGHS only those the
-    pass cannot certify.  Each query makes its own instance, unless its
-    caller passes a scope that holds one per row record
-    (``HybridZonotope._fibers``).
+    repeat, and HiGHS only the costs the simplex pass leaves once they stop
+    repeating: both are answers of the pinned fiber's basis object
+    (``_FiberBasis``).  Each query makes its own instance, unless its caller
+    passes a scope that holds one per row record (``HybridZonotope._fibers``).
     """
 
     def __init__(self, hz: HybridZonotope):
         self._rows = hz._rows
         self._sessions: dict = {}  # row slack -> (LpSession, MilpProblem)
-        self._pinned: dict = {}  # row slack -> (pinned fiber, its column bounds lb, ub)
-        self._movable: dict = {}  # row slack -> columns of the pinned fiber that can move
+        self._pinned: dict = {}  # row slack -> (pinned fiber, its _FiberBasis or None)
 
     def minimizers(self, xb: np.ndarray, costs: np.ndarray) -> np.ndarray:
         """Factors xc of fiber ``xb``, one row per row of ``costs``: row i
         minimizes costs[i] @ xc.
 
-        The costs are solved in order.  After each LP, one reduced-cost test
-        over the costs not yet answered gives every cost for which that LP's
-        optimal basis is optimal too the LP's vertex; the test is one solve
-        with that basis over the columns it tests, not one per cost
-        (``_certified``).  Certification stops for the rest of the batch
-        once it has answered fewer costs than the tests it ran.  If at least
-        PASS_MIN costs are then open, the simplex pass pivots them all from
-        that LP's basis at once (``_pivoted``); a cost it answers carries the
-        same certificate, checked on its own basis.  Every other cost gets
-        its own LP.  Rows are held exactly first, per fiber: only once this
-        fiber's exact LP is infeasible does the rest of the batch run with
-        FEAS_TOL slack, so a fiber nonempty with exact rows gets exact
-        factors whatever the other fibers of the rows need.
+        The costs are solved in order.  After each LP, every cost not yet
+        answered for which that LP's optimal basis is certified optimal takes
+        the LP's vertex (``_FiberBasis.certified``).  Certification stops for
+        the rest of the batch once it has answered fewer costs than the tests
+        it ran.  If at least PASS_MIN costs are then open, the simplex pass
+        pivots them all from that LP's basis at once
+        (``_FiberBasis.pivoted``).  Every other cost gets its own LP.  Rows
+        are held exactly first, per fiber: only once this fiber's exact LP is
+        infeasible does the rest of the batch run with FEAS_TOL slack, so a
+        fiber nonempty with exact rows gets exact factors whatever the other
+        fibers of the rows need.
 
         Raises:
             EmptySetError: if the fiber is empty even within FEAS_TOL.
@@ -611,15 +620,16 @@ class FiberLp:
                     raise EmptySetError("enumerated assignment lost feasibility")
                 xc[i] = res.x[:n_g]
                 if certified >= tests and todo.any():
+                    fiber, basis = self._basis(slack)
                     rest = np.flatnonzero(todo)
-                    hits = rest[self._certified(slack, res.x, costs[rest])]
+                    hits = rest[fiber.certified(basis, res.x, costs[rest])]
                     xc[hits] = res.x[:n_g]
                     todo[hits] = False
                     tests += 1
                     certified += hits.size
                     if certified < tests and todo.sum() >= PASS_MIN:
                         rest = np.flatnonzero(todo)
-                        done, x = self._pivoted(slack, res.x, costs[rest])
+                        done, x = fiber.pivoted(basis, res.x, costs[rest])
                         xc[rest[done]] = x[done, :n_g]
                         todo[rest[done]] = False
         return xc
@@ -635,76 +645,19 @@ class FiberLp:
         pinned = self._pinned.get(slack)
         if pinned is not None and np.array_equal(pinned[0], xb):
             return session.solve(c)
-        lb, ub = pinned_bounds(p, xb)
-        self._pinned[slack] = (np.array(xb), lb, ub)  # copied: callers may reuse xb
-        self._movable.pop(slack, None)
-        return session.solve(c, lb, ub)
+        self._pinned[slack] = (np.array(xb), None)  # copied: callers may reuse xb
+        return session.solve(c, *pinned_bounds(p, xb))
 
-    def _movable_columns(self, slack: float) -> np.ndarray:
-        """The columns of the pinned fiber at ``slack`` that can move: not
-        the pinned binaries, and no column of a forcing row, whose
-        right-hand side equals its least or greatest activity over the
-        fiber's box (Andersen & Andersen 1995)."""
-        if slack not in self._movable:
-            _, p = self._sessions[slack]
-            _, lb, ub = self._pinned[slack]
-            A = p.lp.A
-            low, high = np.minimum(A * lb, A * ub), np.maximum(A * lb, A * ub)
-            forcing = (p.lp.b == low.sum(axis=1)) | (p.lp.b == high.sum(axis=1))
-            self._movable[slack] = (lb < ub) & ~A[forcing].any(axis=0)
-        return self._movable[slack]
-
-    def _certified(self, slack: float, x: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """Which rows of ``costs`` (over xc) the optimal basis of the last LP
-        at ``slack``, whose solution is x, is optimal for.
-
-        A basis is optimal for every cost whose reduced costs keep their
-        signs (``_keeps_signs``).  The reduced costs
-        d = c - (B^-1 @ A).T @ c_B are linear in the cost (Bertsimas &
-        Tsitsiklis 1997, section 3.1), so one solve B @ W = A[:, test] over
-        the tested columns serves every cost of the batch.  Only columns
-        that can move are tested (``_movable_columns``).
-        """
+    def _basis(self, slack: float) -> tuple["_FiberBasis", np.ndarray | None]:
+        """The basis object of the pinned fiber at ``slack``, built on its
+        first call per pin, and the basis of the last LP at ``slack`` in its
+        columns (``_FiberBasis.columns``)."""
         session, p = self._sessions[slack]
-        basic = session.basic_variables()
-        if basic is None:
-            return np.zeros(len(costs), dtype=bool)
-        A = p.lp.A
-        _, lb, ub = self._pinned[slack]
-        logical = basic < 0
-        columns = basic[~logical]
-        test = self._movable_columns(slack).copy()
-        test[columns] = False
-        B = np.zeros((A.shape[0], A.shape[0]))  # a logical's column is +/-e_r, its cost 0
-        B[:, ~logical] = A[:, columns]
-        B[-1 - basic[logical], logical] = 1.0
-        try:
-            W = np.linalg.solve(B, A[:, test])
-        except np.linalg.LinAlgError:
-            return np.zeros(len(costs), dtype=bool)
-        C = np.zeros((A.shape[1], len(costs)))
-        C[:costs.shape[1]] = costs.T
-        d = C[test] - W[~logical].T @ C[columns]
-        xt = x[test]
-        return _keeps_signs(d.T, xt == lb[test], xt == ub[test])
-
-    def _pivoted(self, slack: float, x: np.ndarray,
-                 costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which rows of ``costs`` (over xc) the simplex pass answers, and
-        for each of those its optimal columns (the other rows are unset).
-
-        Every cost starts from the optimal basis of the last LP at
-        ``slack``, whose solution is x (``_BoundedSimplex``).
-        """
-        session, p = self._sessions[slack]
-        basic = session.basic_variables()
-        if basic is None:
-            return np.zeros(len(costs), dtype=bool), np.empty((len(costs), p.lp.num_vars))
-        _, lb, ub = self._pinned[slack]
-        simplex = _BoundedSimplex(p.lp.A, p.lp.b, lb, ub, self._movable_columns(slack))
-        C = np.zeros((len(costs), p.lp.num_vars))
-        C[:, :costs.shape[1]] = costs
-        return simplex.solve(basic, x, C)
+        xb, fiber = self._pinned[slack]
+        if fiber is None:
+            fiber = _FiberBasis(p.lp, *pinned_bounds(p, xb))
+            self._pinned[slack] = (xb, fiber)
+        return fiber, fiber.columns(session.basic_variables())
 
 
 def _keeps_signs(d: np.ndarray, at_lb: np.ndarray, at_ub: np.ndarray) -> np.ndarray:
@@ -716,46 +669,90 @@ def _keeps_signs(d: np.ndarray, at_lb: np.ndarray, at_ub: np.ndarray) -> np.ndar
     return ~((d < 0) & ~at_ub | (d > 0) & ~at_lb).any(axis=-1)
 
 
-class _BoundedSimplex:
-    """The primal simplex with bounded variables (Bertsimas & Tsitsiklis
-    1997, chapter 3, and section 5.1 for the bounds), run on many costs at
-    once in numpy over one fiber LP: minimize c @ x subject to A @ x = b,
-    lb <= x <= ub.
+class _FiberBasis:
+    """One pinned fiber's LP, minimize c @ x subject to A @ x = b and
+    lb <= x <= ub, and the two answers an optimal basis of it gives a batch
+    of costs: the certificate, and the simplex pass.
 
-    Row r's logical is column n + r of [A, I], fixed at 0, as HiGHS reports
-    its basis (``LpSession.basic_variables``).  Every cost starts from one
-    primal feasible basis and keeps its own basis and explicit inverse.
-    Pricing is Dantzig's, over the movable columns only (the others never
-    enter); the ratio test is the textbook one, with bound flips; the
-    inverse takes a product-form update, in place and only for the costs
-    still pivoting.  A cost stops once no reduced cost has a sign that
-    improves it, or after PASS_PIVOTS pivots and flips.
+    It holds [A, I], where row r's logical is column n + r, fixed at 0, the
+    column bounds, and the columns that can move: not the pinned binaries,
+    and no column of a forcing row, whose right-hand side equals its least
+    or greatest activity over the fiber's box (Andersen & Andersen 1995).
+    Only movable columns are tested or priced.  HiGHS's basis
+    (``LpSession.basic_variables``) is read as columns of [A, I] once per
+    LP (``columns``), and both answers take it in that form.
 
-    The pass only proposes bases.  A cost's answer is accepted only if a
-    fresh solve with its final basis, not the updated inverse, gives
-    columns within the session's primal tolerance of every row and bound and
-    reduced costs that keep their signs (``_keeps_signs``).
+    ``certified``: a basis is optimal for every cost whose reduced costs
+    keep their signs (``_keeps_signs``).  The reduced costs
+    d = c - (B^-1 @ A).T @ c_B are linear in the cost (Bertsimas &
+    Tsitsiklis 1997, section 3.1), so one solve B @ W = A[:, test] over the
+    tested columns serves every cost of the batch.
+
+    ``pivoted``: the primal simplex with bounded variables (Bertsimas &
+    Tsitsiklis 1997, chapter 3, and section 5.1 for the bounds), run on many
+    costs at once in numpy.  Every cost starts from one primal feasible
+    basis and keeps its own basis and explicit inverse.  Pricing is
+    Dantzig's, over the movable columns only (the others never enter); the
+    ratio test is the textbook one, with bound flips; the inverse takes a
+    product-form update, in place and only for the costs still pivoting.  A
+    cost stops once no reduced cost has a sign that improves it, or after
+    PASS_PIVOTS pivots and flips.  The pass only proposes bases.  A cost's
+    answer is accepted only if a fresh solve with its final basis, not the
+    updated inverse, gives columns within the session's primal tolerance of
+    every row and bound and reduced costs that keep their signs.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                 movable: np.ndarray):
+    def __init__(self, lp: LpProblem, lb: np.ndarray, ub: np.ndarray):
+        A = lp.A
         m, n = A.shape
+        low, high = np.minimum(A * lb, A * ub), np.maximum(A * lb, A * ub)
+        forcing = (lp.b == low.sum(axis=1)) | (lp.b == high.sum(axis=1))
         self.n = n
         self.A = np.hstack([A, np.eye(m)])
-        self.b = b
+        self.b = lp.b
         self.lb = np.concatenate([lb, np.zeros(m)])
         self.ub = np.concatenate([ub, np.zeros(m)])
-        self.movable = np.concatenate([movable, np.zeros(m, dtype=bool)])
+        self.movable = np.concatenate([(lb < ub) & ~A[forcing].any(axis=0),
+                                       np.zeros(m, dtype=bool)])
 
-    def solve(self, basic: np.ndarray, x: np.ndarray,
-              C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which costs (rows of C, over the n columns) the pass answers, and
-        their optimal columns (the other rows are unset), from the basis
-        ``basic`` in the form of ``LpSession.basic_variables`` whose solution
-        is x.  At most PASS_CHUNK costs pivot at a time."""
-        (k, n), m = C.shape, self.A.shape[0]
+    def columns(self, basic: np.ndarray | None) -> np.ndarray | None:
+        """A basis in the form of ``LpSession.basic_variables`` (the logical
+        of row r as -1 - r) as columns of [A, I]; None stays None."""
+        return None if basic is None else np.where(basic >= 0, basic, self.n - 1 - basic)
+
+    def certified(self, basis: np.ndarray | None, x: np.ndarray,
+                  costs: np.ndarray) -> np.ndarray:
+        """Which rows of ``costs`` (over xc) the optimal ``basis``, whose
+        solution is x, is optimal for: none without a basis."""
+        if basis is None:
+            return np.zeros(len(costs), dtype=bool)
+        n = self.n
+        A = self.A[:, :n]
+        logical = basis >= n
+        columns = basis[~logical]
+        test = self.movable[:n].copy()
+        test[columns] = False
+        try:
+            W = np.linalg.solve(self.A[:, basis], A[:, test])
+        except np.linalg.LinAlgError:
+            return np.zeros(len(costs), dtype=bool)
+        C = np.zeros((n, len(costs)))
+        C[:costs.shape[1]] = costs.T
+        d = C[test] - W[~logical].T @ C[columns]
+        xt = x[test]
+        return _keeps_signs(d.T, xt == self.lb[:n][test], xt == self.ub[:n][test])
+
+    def pivoted(self, basis: np.ndarray | None, x: np.ndarray,
+                costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows of ``costs`` (over xc) the simplex pass answers from the
+        optimal ``basis``, whose solution is x, and for each of those its
+        optimal columns over the n structural variables (the other rows are
+        unset): none without a basis.  At most PASS_CHUNK costs pivot at a
+        time."""
+        k, n, m = len(costs), self.n, self.A.shape[0]
         answered, x_out = np.zeros(k, dtype=bool), np.empty((k, n))
-        basis = np.where(basic >= 0, basic, n - 1 - basic)
+        if basis is None:
+            return answered, x_out
         x = np.concatenate([x, np.zeros(m)])
         nonbasic = np.ones(x.size, dtype=bool)
         nonbasic[basis] = False
@@ -766,7 +763,8 @@ class _BoundedSimplex:
         except np.linalg.LinAlgError:
             return answered, x_out
         x[basis] = inverse @ (self.b - self.A[:, nonbasic] @ x[nonbasic])
-        C = np.hstack([C, np.zeros((k, m))])
+        C = np.zeros((k, n + m))
+        C[:, :costs.shape[1]] = costs
         for start in range(0, k, PASS_CHUNK):
             chunk = np.arange(start, min(start + PASS_CHUNK, k))
             stopped, bases, xs = self._pivot(basis, inverse, x, C[chunk])

@@ -194,16 +194,16 @@ def leaves_in_index_order(p) -> list:
     return leaves
 
 
-def certified_by_duals(fibers, slack, x, costs):
-    """Basis certificate oracle for ``FiberLp._certified``: one right-hand
-    side per cost.  For the last LP of ``fibers`` at ``slack`` (solution x),
-    solves B.T @ y = c_B for each row of ``costs`` and takes the reduced
-    costs d = c - A.T @ y over the columns that can move and are nonbasic.
-    Returns the mask of costs whose d keep the optimal signs (tested
-    without tolerance) and, per cost, the least |d| over those columns
-    (inf when none is tested)."""
+def certified_by_duals(fibers, slack, xb, x, costs):
+    """Basis certificate oracle for ``_FiberBasis.certified``: one right-hand
+    side per cost.  For the last LP of ``fibers`` at ``slack`` over fiber xb
+    (solution x), solves B.T @ y = c_B for each row of ``costs`` and takes
+    the reduced costs d = c - A.T @ y over the columns that can move and are
+    nonbasic.  Returns the mask of costs whose d keep the optimal signs
+    (tested without tolerance) and, per cost, the least |d| over those
+    columns (inf when none is tested)."""
     session, p = fibers._sessions[slack]
-    _, lb, ub = fibers._pinned[slack]
+    lb, ub = pinned_bounds(p, xb)
     k = len(costs)
     basic = session.basic_variables()
     if basic is None:

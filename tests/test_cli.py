@@ -13,7 +13,7 @@ from hzreach.cli import build_parser, main
 from hzreach.lp import LpSession
 from hzreach.model import model_to_dict
 from hzreach.projection import emit_projection, write_points_csv, write_svg
-from hzreach.sets import FiberLp
+from hzreach.sets import FiberLp, _FiberBasis
 from hzreach.relu import graph_triangle
 from hzreach.systems import demo_initial_box, demo_system, gate_system, half_system
 
@@ -627,7 +627,7 @@ def test_exact_hull_runs_rerun_byte_for_byte(tmp_path, monkeypatch, command):
     if command == "forward":
         unsafe = argv.index("--unsafe")
         argv = ["forward"] + argv[1:unsafe] + argv[unsafe + 2:]
-    passes = _counted(monkeypatch, FiberLp, "_pivoted")
+    passes = _counted(monkeypatch, _FiberBasis, "pivoted")
     codes = [main(argv + ["--out", str(tmp_path / out)]) for out in ("a", "b")]
     assert codes[0] == codes[1] == (0 if command == "forward" else 2)
     assert bool(passes) == (command == "forward")
@@ -711,6 +711,29 @@ def test_bad_dims_exit_before_writing(planar_files, tmp_path, capsys, dims):
     assert capsys.readouterr().err.startswith(
         "hzreach: error: --dims must name two distinct coordinates in [0, 2) "
         "of the 2-dimensional state")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [("verify", "--domain"), ("forward", "--initial"),
+                                             ("backward", "--target"), ("verify", "--unsafe")])
+def test_set_of_another_dimension_exits_before_writing(planar_files, tmp_path, capsys,
+                                                       command, option):
+    # a 3-D box given to the 2-D demo model: verify would read the domain
+    # only after an Unknown, and the far unsafe box is Safe without it
+    box([0.35, 0.3, 0.0], [0.55, 0.5, 1.0]).save(tmp_path / "cube.json")
+    box([2.0, 2.0], [2.1, 2.1]).save(tmp_path / "far.json")
+    files = {"--domain": planar_files / "domain.json", "--initial": planar_files / "initial.json"}
+    if command == "backward":
+        files["--target"] = planar_files / "target.json"
+    if command == "verify":
+        files["--unsafe"] = tmp_path / "far.json"
+    files[option] = tmp_path / "cube.json"
+    out = tmp_path / "o"
+    argv = [command, "--model", str(planar_files / "model.json"), "-T", "3", "--out", str(out)]
+    code = main(argv + [str(arg) for item in files.items() for arg in item])
+    assert code == 1
+    assert capsys.readouterr().err == (f"hzreach: error: {option} is 3-dimensional, but the "
+                                       "model's state is 2-dimensional\n")
     assert not out.exists()
 
 

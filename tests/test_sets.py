@@ -596,15 +596,16 @@ def test_fiber_point_batches_are_optimal_members(seed, source, n_g, n_b, n_c, si
 
     check_batches(6 if source == "flat" else 20)
     answered = []
-    pivoted = fibers._pivoted
+    pivoted = sets_mod._FiberBasis.pivoted
 
     def counted(*args):
         done, x = pivoted(*args)
         answered.append(done.sum())
         return done, x
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fibers, "_certified", lambda slack, x, costs: np.zeros(len(costs), bool))
-        mp.setattr(fibers, "_pivoted", counted)
+        mp.setattr(sets_mod._FiberBasis, "certified",
+                   lambda self, basis, x, costs: np.zeros(len(costs), bool))
+        mp.setattr(sets_mod._FiberBasis, "pivoted", counted)
         check_batches(2 * PASS_MIN)
     assert len(answered) == len(picked) and sum(answered) > 0
 
@@ -636,8 +637,9 @@ def test_certificate_matches_dual_oracle(seed, source, n_g, n_b, n_c, side, delt
             slack = FEAS_TOL
             res = fibers._solve(slack, xb, costs[0])
         assert res.is_optimal
-        mask = fibers._certified(slack, res.x, costs[1:])
-        ref, margin = certified_by_duals(fibers, slack, res.x, costs[1:])
+        fiber, basis = fibers._basis(slack)
+        mask = fiber.certified(basis, res.x, costs[1:])
+        ref, margin = certified_by_duals(fibers, slack, xb, res.x, costs[1:])
         clear = margin > 1e-9
         assert np.array_equal(mask[clear], ref[clear])
         for cost in costs[1:][mask]:
@@ -692,7 +694,7 @@ def test_many_vertex_fiber_pivots_its_draws_in_one_pass(monkeypatch, variant):
     if variant == "one-pivot":
         monkeypatch.setattr(sets_mod, "PASS_PIVOTS", 1)
     elif variant != "pass":
-        monkeypatch.setattr(sets_mod._BoundedSimplex, "_pivot",
+        monkeypatch.setattr(sets_mod._FiberBasis, "_pivot",
                             _unpivoted(variant == "singular"))
     solves = _count_solves(monkeypatch)
     pts = Z.sample_points(500, 1)
@@ -773,6 +775,58 @@ def test_shared_fiber_lp_needs_the_same_rows_and_factors():
     with pytest.raises(ValueError, match="factor counts differ"):
         HybridZonotope._on_rows([[1.0, 2.0, 3.0]], None, [0.0],
                                 HybridZonotope(Gc=[[1.0, 2.0]], c=[0.0]))
+
+
+def test_derived_sets_check_their_generators_and_share_their_rows():
+    # a set built on another's rows validates and freezes the generator
+    # blocks it is given, as the constructor does, and takes the row blocks
+    # and their record themselves, not copies
+    rng = np.random.default_rng(7)
+    Z = random_hz(rng, dim=2, n_g=4, n_b=2, n_c=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        R = np.eye(2)
+        R[1, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="Gc contains non-finite entries"):
+            Z.affine_map(R)
+        with pytest.raises(ValueError, match="^c contains non-finite entries"):
+            Z.affine_map(np.eye(2), [0.0, bad])
+    with pytest.raises(ValueError, match="Gc has 3 rows, expected 2"):
+        HybridZonotope._on_rows(np.ones((3, Z.n_g)), np.ones((2, Z.n_b)), np.zeros(2), Z)
+    P = Z.affine_map(rng.normal(size=(3, 2)), rng.normal(size=3))
+    W = Z.generalized_intersect(box([-1.0, -1.0], [1.0, 1.0]))
+    derived = [(P, Z), (Z.project([1]), Z), (Z.constrained_product(P), P),
+               (_regenerated(rng, W, 2), W)]
+    for Y, rows in derived:
+        for name in ("Ac", "Ab", "b", "_rows"):
+            assert getattr(Y, name) is getattr(rows, name), name
+        for block in (Y.Gc, Y.Gb, Y.c):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[...] = 0.0
+
+
+def test_fiber_basis_is_built_on_a_fibers_first_certificate(monkeypatch):
+    # the projection of each leaf starts with one batch of directions, whose
+    # first certificate builds the leaf's basis object; its edge checks, one
+    # cost each, certify nothing and build none
+    Z = HybridZonotope.load(DATA / "flat_fibers.json")
+    leaves = Z.feasible_binary_assignments()
+    built = []
+    init = sets_mod._FiberBasis.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+    monkeypatch.setattr(sets_mod._FiberBasis, "__init__", counted)
+    emit_projection(Z, (0, 1), 16)
+    assert 0 < len(built) <= len(leaves)
+    built.clear()
+    fibers = FiberLp(Z)
+    for xb in leaves:
+        for cost in np.random.default_rng(2).standard_normal((5, 1, Z.n_g)):
+            Z._points(xb, cost, fibers)
+    assert built == []
 
 
 @pytest.mark.parametrize("source,seed", [("random", 0), ("random", 1), ("random", 2),
